@@ -24,9 +24,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cycle import (CycleConfig, CycleReport, apply_axis, max_energy_deviation,
-                    strong_cycle, strong_cycle_via_oracle, STROKE_ORDER)
-from .errors import ConfigError, IntegrationFailureError, QottoError, SingularGeneratorError
+from .cycle import (NUMERIC_FIELDS, CycleConfig, CycleReport, apply_axis,
+                    max_energy_deviation, strong_cycle, strong_cycle_via_oracle,
+                    STROKE_ORDER)
+from .errors import ConfigError, QottoError, SingularGeneratorError
 from .profiles import (MarkovianProfile, NonMarkovianProfile, load_tabulated,
                        rate_gamma, thermalization_weight)
 from .dynamics import cp_divisibility_witness, vectorized_reps
@@ -39,8 +40,6 @@ EXIT_AUDIT = 3
 
 SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "beta_c")
 
-_NUMERIC_KEYS = ("omega_c", "omega_h", "beta_c", "beta_h",
-                 "tau_u1", "tau_h", "tau_u2", "tau_c")
 _PROFILE_KEYS = ("profile_h", "profile_c")
 
 
@@ -127,7 +126,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
         if not sep:
             raise ConfigError([f"--set expects key=value, got '{pair}'"])
         key = key.strip()
-        if key in _NUMERIC_KEYS:
+        if key in NUMERIC_FIELDS:
             try:
                 out[key] = float(value)
             except ValueError:
@@ -159,6 +158,17 @@ def load_cycle_config(path: str | None, overrides: dict) -> tuple[CycleConfig, d
             raise ConfigError([f"unknown config key '{k}'" for k in sorted(unknown)])
         raw.update(data)
     raw.update(overrides)
+    problems = []
+    for key in NUMERIC_FIELDS:
+        value = raw[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            problems.append(f"{key} must be a number, got {value!r}")
+        elif not math.isfinite(value):
+            problems.append(f"{key} must be finite, got {value}")
+    problems += [f"{key} must be a string, got {raw[key]!r}"
+                 for key in _PROFILE_KEYS if not isinstance(raw[key], str)]
+    if problems:
+        raise ConfigError(problems)
 
     g_h = math.tanh(raw["beta_h"] * raw["omega_h"])
     g_c = math.tanh(raw["beta_c"] * raw["omega_c"])
@@ -426,12 +436,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, IntegrationFailureError, QottoError) as exc:
+    except (QottoError, OSError, np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

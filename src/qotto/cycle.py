@@ -31,6 +31,8 @@ from .tolerances import TOL
 
 STROKE_ORDER = ("quench_up", "connect_hot", "hot_contact", "disconnect_hot",
                 "quench_down", "connect_cold", "cold_contact", "disconnect_cold")
+NUMERIC_FIELDS = ("omega_c", "omega_h", "beta_c", "beta_h",
+                  "tau_u1", "tau_h", "tau_u2", "tau_c")
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,10 @@ class CycleConfig:
 
     def problems(self, need_profiles: bool = False) -> list[str]:
         """Every constraint violation, one message per offending field."""
-        out = []
+        out = [f"{name} must be finite, got {getattr(self, name)}"
+               for name in NUMERIC_FIELDS if not math.isfinite(getattr(self, name))]
+        if out:
+            return out
         if not self.omega_c > 0.0:
             out.append(f"omega_c must be > 0, got {self.omega_c}")
         if not self.omega_h > 0.0:
@@ -178,12 +183,37 @@ def _ratio_rule_regime(config: CycleConfig) -> str:
     return "other"
 
 
-def _binary_entropy(g: float) -> float:
+def _binary_entropy(p: float) -> float:
+    """Entropy of a diagonal qubit state with populations p and 1 - p."""
     s = 0.0
-    for q in ((1.0 - g) / 2.0, (1.0 + g) / 2.0):
+    for q in (p, 1.0 - p):
         if q > TOL.entropy_eig_floor:
             s -= q * math.log(q)
     return s
+
+
+def _stroke_ledgers(e_a1: float, e_b: float, e_c1: float, e_d: float, e_a0: float,
+                    w_ab: float, w_cd: float, q_h: float, q_c: float,
+                    sigma_h: float, sigma_c: float,
+                    coupling_costs: tuple = (0.0, 0.0, 0.0, 0.0)) -> dict:
+    """The eight stroke ledgers from the stroke endpoint quantities.
+
+    e_a1, e_b, e_c1, e_d, e_a0 are the internal energies at the cycle start,
+    after the up-quench, at the end of the hot contact, after the down-quench
+    and at the end of the cold contact; ``coupling_costs`` holds the hot
+    connect, hot disconnect, cold connect and cold disconnect works.
+    """
+    w_con_h, w_dis_h, w_con_c, w_dis_c = coupling_costs
+    return {
+        "quench_up": EnergyLedger(w_ab, 0.0, e_a1, e_b),
+        "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h),
+        "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
+        "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h),
+        "quench_down": EnergyLedger(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h),
+        "connect_cold": EnergyLedger(w_con_c, 0.0, e_d, e_d + w_con_c),
+        "cold_contact": EnergyLedger(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
+        "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c),
+    }
 
 
 def _metrics(work: float, heat_hot: float, heat_cold: float, tau: float,
@@ -246,25 +276,15 @@ def weak_cycle(config: CycleConfig) -> CycleReport:
     w_cd = (wh - wc) * g_h
     q_c = wc * (g_h - g_c)
 
-    e_a = -wc * g_c
-    e_b = -wh * g_c
-    e_c = -wh * g_h
-    e_d = -wc * g_h
-    sigma_h = _binary_entropy(g_h) - _binary_entropy(g_c) - config.beta_h * q_h
-    sigma_c = _binary_entropy(g_c) - _binary_entropy(g_h) - config.beta_c * q_c
+    p_a = (1.0 - g_c) / 2.0
+    p_c = (1.0 - g_h) / 2.0
+    sigma_h = _binary_entropy(p_c) - _binary_entropy(p_a) - config.beta_h * q_h
+    sigma_c = _binary_entropy(p_a) - _binary_entropy(p_c) - config.beta_c * q_c
 
-    strokes = {
-        "quench_up": EnergyLedger(w_ab, 0.0, e_a, e_b),
-        "connect_hot": EnergyLedger(0.0, 0.0, e_b, e_b),
-        "hot_contact": EnergyLedger(0.0, q_h, e_b, e_c, sigma_h),
-        "disconnect_hot": EnergyLedger(0.0, 0.0, e_c, e_c),
-        "quench_down": EnergyLedger(w_cd, 0.0, e_c, e_d),
-        "connect_cold": EnergyLedger(0.0, 0.0, e_d, e_d),
-        "cold_contact": EnergyLedger(0.0, q_c, e_d, e_a, sigma_c),
-        "disconnect_cold": EnergyLedger(0.0, 0.0, e_a, e_a),
-    }
-    return _assemble(config, strokes, 1.0, 1.0, (1.0 - g_c) / 2.0,
-                     allow_zero_tau=False)
+    e_a, e_c = -wc * g_c, -wh * g_h
+    strokes = _stroke_ledgers(e_a, -wh * g_c, e_c, -wc * g_h, e_a,
+                              w_ab, w_cd, q_h, q_c, sigma_h, sigma_c)
+    return _assemble(config, strokes, 1.0, 1.0, p_a, allow_zero_tau=False)
 
 
 def _boundary_coupling(profile: CouplingProfile, t: float) -> np.ndarray:
@@ -275,61 +295,47 @@ def _boundary_coupling(profile: CouplingProfile, t: float) -> np.ndarray:
 
 
 def strong_cycle(config: CycleConfig) -> CycleReport:
-    """Strongly coupled cycle evaluated from the closed-form joint dynamics."""
+    """Strongly coupled cycle evaluated from the closed-form stroke scalars.
+
+    Each contact starts from the product of a diagonal system state with a
+    Gibbs bath qubit, so its entropy production is Delta S_S - beta Q
+    (Esposito, Lindenberg and Van den Broeck, NJP 12, 013013 (2010)), and
+    every closed-form joint state has a purely imaginary exchange coherence
+    rho[1,2], so the coupling costs 2 f Re rho[1,2] vanish exactly.
+    """
     config.validate(need_profiles=True)
     wc, wh = config.omega_c, config.omega_h
     g_c, g_h = config.g_c, config.g_h
-    ph, pc = config.profile_h, config.profile_c
-    sw_h = ph.thermal_weight(config.tau_h)
-    sw_c = pc.thermal_weight(config.tau_c)
+    sw_h = config.profile_h.thermal_weight(config.tau_h)
+    sw_c = config.profile_c.thermal_weight(config.tau_c)
     cw_h = 1.0 - sw_h
 
     p_a1 = (1.0 - g_c) / 2.0
     p_c1 = (1.0 - g_h) / 2.0 + 0.5 * cw_h * (g_h - g_c)
     p_a0 = p_c1 * (1.0 - sw_c) + (1.0 - g_c) / 2.0 * sw_c
+    # a contact started from population p with bath parameter g has the joint
+    # spectrum {(1 +/- g)/2 p, (1 +/- g)/2 (1 - p)}: a density operator
+    # exactly when g and p lie in [0, 1]
+    for g in (g_h, g_c):
+        if not 0.0 <= g <= 1.0:
+            raise ValueError(f"bath parameter g must lie in [0, 1], got {g}")
+    for p in (p_a1, p_c1, p_a0):
+        QubitState(p=p)
 
     w_ab = (wc - wh) * g_c
     q_h = wh * (g_c - g_h) * sw_h
     w_cd = (wh - wc) * (g_h - cw_h * (g_h - g_c))
     q_c = wc * (g_h - g_c) * sw_h * sw_c
 
-    e_a1 = -wc * g_c
-    e_b = -wh * g_c
-    e_c1 = wh * (2.0 * p_c1 - 1.0)
-    e_d = wc * (2.0 * p_c1 - 1.0)
-    e_a0 = wc * (2.0 * p_a0 - 1.0)
-
-    state_hot_start = np.kron(np.diag([p_a1, 1.0 - p_a1]).astype(complex),
-                              bath_thermal_matrix(g_h))
-    state_hot_end = joint_state_closed_form(QubitState(p=p_a1), g_h, wh,
-                                            ph.phase(config.tau_h), config.tau_h)
-    state_cold_start = np.kron(np.diag([p_c1, 1.0 - p_c1]).astype(complex),
-                               bath_thermal_matrix(g_c))
-    state_cold_end = joint_state_closed_form(QubitState(p=p_c1), g_c, wc,
-                                             pc.phase(config.tau_c), config.tau_c)
-
-    w_con_h = thermo.connect_disconnect_work(_boundary_coupling(ph, 0.0), state_hot_start)
-    w_dis_h = thermo.connect_disconnect_work(_boundary_coupling(ph, config.tau_h),
-                                             state_hot_end, disconnect=True)
-    w_con_c = thermo.connect_disconnect_work(_boundary_coupling(pc, 0.0), state_cold_start)
-    w_dis_c = thermo.connect_disconnect_work(_boundary_coupling(pc, config.tau_c),
-                                             state_cold_end, disconnect=True)
-
-    sigma_h = (thermo.entropy_production(state_hot_end, config.beta_h, wh * linalg.SIGMA_Z)
-               if config.tau_h > 0.0 else 0.0)
-    sigma_c = (thermo.entropy_production(state_cold_end, config.beta_c, wc * linalg.SIGMA_Z)
+    s_a1, s_c1 = _binary_entropy(p_a1), _binary_entropy(p_c1)
+    sigma_h = s_c1 - s_a1 - config.beta_h * q_h if config.tau_h > 0.0 else 0.0
+    sigma_c = (_binary_entropy(p_a0) - s_c1 - config.beta_c * q_c
                if config.tau_c > 0.0 else 0.0)
 
-    strokes = {
-        "quench_up": EnergyLedger(w_ab, 0.0, e_a1, e_b),
-        "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h),
-        "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
-        "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h),
-        "quench_down": EnergyLedger(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h),
-        "connect_cold": EnergyLedger(w_con_c, 0.0, e_d, e_d + w_con_c),
-        "cold_contact": EnergyLedger(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
-        "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c),
-    }
+    strokes = _stroke_ledgers(-wc * g_c, -wh * g_c, wh * (2.0 * p_c1 - 1.0),
+                              wc * (2.0 * p_c1 - 1.0), wc * (2.0 * p_a0 - 1.0),
+                              w_ab, w_cd, q_h, q_c, sigma_h, sigma_c,
+                              (0.0, -0.0, 0.0, -0.0))
     return _assemble(config, strokes, sw_h, sw_c, p_a0, allow_zero_tau=True)
 
 
@@ -383,16 +389,8 @@ def strong_cycle_via_oracle(config: CycleConfig, steps: int | None = None,
     w_dis_c = thermo.connect_disconnect_work(_boundary_coupling(pc, config.tau_c),
                                              cold_end, disconnect=True)
 
-    strokes = {
-        "quench_up": EnergyLedger(w_ab, 0.0, e_a1, e_b),
-        "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h),
-        "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
-        "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h),
-        "quench_down": EnergyLedger(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h),
-        "connect_cold": EnergyLedger(w_con_c, 0.0, e_d, e_d + w_con_c),
-        "cold_contact": EnergyLedger(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
-        "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c),
-    }
+    strokes = _stroke_ledgers(e_a1, e_b, e_c1, e_d, e_a0, w_ab, w_cd, q_h, q_c,
+                              sigma_h, sigma_c, (w_con_h, w_dis_h, w_con_c, w_dis_c))
 
     p_a0 = float(linalg.partial_trace_bath(cold_end)[0, 0].real)
     return _assemble(config, strokes, ph.thermal_weight(config.tau_h),

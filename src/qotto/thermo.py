@@ -8,6 +8,10 @@ Definitions (units with hbar = k_B = 1, natural logarithms):
 * internal energy of the system = Tr[(H_S + H_SB) rho_SB];
 * entropy production over one contact = relative entropy between the joint
   state and the product of its system marginal with the initial thermal bath.
+  For a contact that starts from a product with a Gibbs bath this equals
+  Delta S_S - beta Q (Esposito, Lindenberg and Van den Broeck, NJP 12,
+  013013 (2010)); the closed-form cycle uses that scalar form, and the
+  relative entropy here is its audit route.
 
 Endpoint expressions are exact for these definitions; Simpson integration of
 the instantaneous flow is provided as an independent audit route.

@@ -13,9 +13,11 @@ import pytest
 
 from qotto.cycle import (apply_axis, build_config, stroke_entropy_production_trace,
                          strong_cycle, strong_cycle_via_oracle, weak_cycle)
-from qotto.dynamics import (QubitState, cp_divisibility_witness, joint_state,
-                            master_equation_rhs, oracle_propagate, reduced_state,
-                            vectorized_reps)
+from qotto import thermo
+from qotto.dynamics import (ORACLE_T_START, QubitState, bath_thermal_matrix,
+                            coupling_hamiltonian, cp_divisibility_witness, joint_state,
+                            joint_state_closed_form, master_equation_rhs,
+                            oracle_propagate, reduced_state, vectorized_reps)
 from qotto.errors import SingularGeneratorError
 from qotto.profiles import (MarkovianProfile, NonMarkovianProfile, rate_gamma,
                             rate_pair)
@@ -192,23 +194,45 @@ def test_criterion_08_refrigerator_cop():
           f"half-weight config gives K = {report.cop:.12f}")
 
 
+def coupling_costs(config):
+    """Connect and disconnect works of both contacts, +/- Tr[H_SB rho] on the 4x4
+    closed-form states at each switching instant."""
+    cw_h = 1.0 - config.profile_h.thermal_weight(config.tau_h)
+    p_c1 = (1.0 - config.g_h) / 2.0 + 0.5 * cw_h * (config.g_h - config.g_c)
+    costs = []
+    for p_in, profile, omega, tau in (
+            ((1.0 - config.g_c) / 2.0, config.profile_h, config.omega_h, config.tau_h),
+            (p_c1, config.profile_c, config.omega_c, config.tau_c)):
+        def h_sb(t):
+            # f diverges at t = 0+; the overlap it multiplies vanishes there
+            return coupling_hamiltonian(profile.f(max(t, ORACLE_T_START, profile.t_min)))
+        start = np.kron(np.diag([p_in, 1.0 - p_in]).astype(complex),
+                        bath_thermal_matrix(profile.g))
+        end = joint_state_closed_form(QubitState(p=p_in), profile.g, omega,
+                                      profile.phase(tau), tau)
+        costs += [thermo.connect_disconnect_work(h_sb(0.0), start),
+                  thermo.connect_disconnect_work(h_sb(tau), end, disconnect=True)]
+    return costs
+
+
 def test_criterion_09_zero_coupling_cost():
     rng = np.random.default_rng(47)
     worst = 0.0
     base = build_config(**ENGINE, tau_h=2.0, tau_c=2.0)
-    grid_reports = []
+    grid = []
     for axis, lo, hi in (("tau_h", 0.1, 5.0), ("tau_c", 0.1, 5.0),
                          ("g_h", 0.1, 0.35), ("omega_h", 1.5, 4.0),
                          ("beta_h", 0.05, 0.45)):
         for value in np.linspace(lo, hi, 8):
-            grid_reports.append(strong_cycle(apply_axis(base, axis, float(value))))
+            grid.append(apply_axis(base, axis, float(value)))
     for _ in range(40):
-        grid_reports.append(strong_cycle(random_cycle_config(rng)))
-    for report in grid_reports:
-        for work in report.boundary_works().values():
-            worst = max(worst, abs(work))
+        grid.append(random_cycle_config(rng))
+    for config in grid:
+        reported = strong_cycle(config).boundary_works().values()
+        for cost, value in zip(coupling_costs(config), reported):
+            worst = max(worst, abs(cost), abs(cost - value))
     assert worst <= 1e-12
-    print(f"criterion 9 PASS: {len(grid_reports)} grid points, max coupling cost = "
+    print(f"criterion 9 PASS: {len(grid)} grid points, max coupling cost = "
           f"{worst:.2e}")
 
 

@@ -178,6 +178,14 @@ class TestSweep:
         assert (column(sh, srows, "heat_hot")[0] + column(sh, srows, "heat_cold")[0]
                 == pytest.approx(total[ch.index("heat")], abs=1e-15))
 
+    def test_cold_limit_rows_are_valid(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--sweep", "beta_c:12:24:200", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert len(rows) == 200
+        assert column(header, rows, "valid") == [1] * 200
+        assert all(math.isfinite(v) for v in column(header, rows, "eta"))
+
     def test_invalid_points_are_flagged(self, tmp_path):
         out = tmp_path / "sweep.csv"
         # omega_h sweep dips below omega_c = 1: those grid points are skipped
@@ -233,6 +241,28 @@ class TestExitCodes:
             return {"first_law_strokes": (1.0, False)}
         monkeypatch.setattr(cycle_mod.CycleReport, "law_audits", broken_audits)
         assert run(["cycle", "--out", str(tmp_path / "c.csv")]) == 3
+
+    def test_runtime_failure_in_oracle_exits_two(self, tmp_path, capsys):
+        # the closed form is finite here; the oracle's relative entropy diverges
+        code = run(["cycle", "--oracle", "--set", "beta_c=1e6",
+                    "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair, field", [("tau_h=nan", "tau_h"), ("tau_c=inf", "tau_c")])
+    def test_non_finite_value_is_config_error(self, pair, field, tmp_path, capsys):
+        assert run(["cycle", "--set", pair, "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{field} must be finite" in err
+
+    def test_mistyped_config_values_are_listed(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"omega_c": "abc", "tau_h": None, "beta_h": True,
+                                    "profile_c": 1}))
+        assert run(["cycle", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        for key in ("omega_c", "tau_h", "beta_h", "profile_c"):
+            assert key in err
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "qotto", "--version"],

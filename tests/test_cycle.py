@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from qotto import linalg, thermo
 from qotto.cycle import (CycleConfig, apply_axis, build_config, classify_regime,
                          max_energy_deviation, stroke_entropy_production_trace,
                          strong_cycle, strong_cycle_via_oracle, weak_cycle)
-from qotto.errors import ConfigError, UndefinedPowerError
-from qotto.profiles import MarkovianProfile, NonMarkovianProfile
+from qotto.dynamics import QubitState, joint_state_closed_form
+from qotto.errors import ConfigError, QottoError, UndefinedPowerError
+from qotto.profiles import MarkovianProfile, NonMarkovianProfile, TabulatedProfile
 
 ENGINE = dict(omega_c=1.0, omega_h=2.0, beta_c=1.0, beta_h=0.2)
 FRIDGE = dict(omega_c=1.0, omega_h=2.0, beta_c=1.0, beta_h=0.6)
@@ -86,6 +89,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             config.validate(need_profiles=True)
         assert "profile_h" in str(err.value)
+
+    def test_non_finite_fields_rejected(self):
+        config = CycleConfig(omega_c=1.0, omega_h=math.inf, beta_c=1.0, beta_h=0.2,
+                             tau_h=math.nan, tau_c=-math.inf)
+        problems = config.problems()
+        assert len(problems) == 3
+        for name, problem in zip(("omega_h", "tau_h", "tau_c"), problems):
+            assert problem.startswith(f"{name} must be finite")
 
     def test_build_config_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -212,6 +223,84 @@ class TestStrongCycle:
         gaps = [nonmarkovian.thermal_weight(float(t)) - markovian.thermal_weight(float(t))
                 for t in ts]
         assert max(gaps) > 0.0
+
+
+def _audit_sigmas(config: CycleConfig) -> list:
+    """Contact entropy productions as relative entropies of the 4x4 closed-form states;
+    None where the contact has zero length or the audit route itself raises."""
+    cw_h = 1.0 - config.profile_h.thermal_weight(config.tau_h)
+    p_c1 = (1.0 - config.g_h) / 2.0 + 0.5 * cw_h * (config.g_h - config.g_c)
+    out = []
+    for p_in, profile, omega, beta, tau in (
+            ((1.0 - config.g_c) / 2.0, config.profile_h, config.omega_h, config.beta_h,
+             config.tau_h),
+            (p_c1, config.profile_c, config.omega_c, config.beta_c, config.tau_c)):
+        try:
+            rho = joint_state_closed_form(QubitState(p=p_in), profile.g, omega,
+                                          profile.phase(tau), tau)
+            out.append(thermo.entropy_production(rho, beta, omega * linalg.SIGMA_Z)
+                       if tau > 0.0 else None)
+        except QottoError:
+            out.append(None)
+    return out
+
+
+@st.composite
+def valid_configs(draw):
+    omega_c = draw(st.floats(0.2, 3.0))
+    omega_h = omega_c * draw(st.floats(1.05, 4.0))
+    x_c = draw(st.floats(0.01, 40.0))             # beta_c * omega_c
+    x_h = draw(st.floats(0.01, 40.0))             # beta_h * omega_h
+    beta_c, beta_h = x_c / omega_c, x_h / omega_h
+    assume(beta_c > beta_h)
+    kinds = st.sampled_from(["markovian", "nonmarkovian"])
+    taus = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    config = build_config(omega_c, omega_h, beta_c, beta_h,
+                          tau_h=draw(taus), tau_c=draw(taus),
+                          kind_h=draw(kinds), kind_c=draw(kinds))
+    # the net work is a difference of two stroke works of size omega_h; where
+    # it is sin^2 F_h (g_c - g_h) < 1e-5 of them, eta, the regime and the
+    # Carnot audit are decided by rounding, so only resolvable cycles count
+    sw_h = config.profile_h.thermal_weight(config.tau_h)
+    assume(sw_h == 0.0 or sw_h * (config.g_c - config.g_h) >= 1e-5)
+    return config
+
+
+class TestScalarRoute:
+    def test_needs_no_joint_states_or_eigensolves(self, monkeypatch):
+        from qotto import cycle as cycle_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("strong_cycle must stay on scalars")
+        monkeypatch.setattr(thermo, "entropy_production", forbidden)
+        monkeypatch.setattr(thermo, "connect_disconnect_work", forbidden)
+        monkeypatch.setattr(cycle_mod, "joint_state_closed_form", forbidden)
+        monkeypatch.setattr(linalg, "hermitian_eig", forbidden)
+        ts = np.linspace(0.01, 10.0, 50)
+        tabulated = TabulatedProfile(g=math.tanh(1.0), times=ts, values=np.full_like(ts, 0.3))
+        configs = [build_config(**ENGINE, tau_h=2.0, tau_c=1.5),
+                   build_config(**ENGINE, tau_h=0.7, tau_c=2.5, kind_h="nonmarkovian"),
+                   CycleConfig(**ENGINE, tau_h=1.0, tau_c=3.0,
+                               profile_h=MarkovianProfile(g=math.tanh(0.4)),
+                               profile_c=tabulated)]
+        for config in configs:
+            report = strong_cycle(config)
+            assert all(ok for _, ok in report.law_audits().values())
+            assert report.strokes["hot_contact"].entropy_production > 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(valid_configs())
+    def test_valid_configs_match_audit_route(self, config):
+        report = strong_cycle(config)
+        for name, (value, ok) in report.law_audits().items():
+            assert ok, f"{name} audit failed at {value!r}"
+        if report.regime == "engine":
+            assert report.eta == pytest.approx(report.eta0, rel=0.0, abs=1e-9)
+        sigmas = (report.strokes["hot_contact"].entropy_production,
+                  report.strokes["cold_contact"].entropy_production)
+        for sigma, audit in zip(sigmas, _audit_sigmas(config)):
+            if audit is not None:
+                assert sigma == pytest.approx(audit, rel=0.0, abs=1e-9)
 
 
 class TestOraclePath:
