@@ -20,9 +20,8 @@ from .errors import (ConfigError, IntegrationFailureError, PositivityError,
                      QottoError, SingularGeneratorError, SupportViolationError,
                      UndefinedPowerError)
 from .profiles import (CouplingProfile, MarkovianProfile, NonMarkovianProfile,
-                       RatePair, TabulatedProfile, accumulated_phase,
-                       coupling_f, is_markovian, load_tabulated, rate_gamma,
-                       rate_pair, thermalization_weight)
+                       RatePair, TabulatedProfile, is_markovian, load_tabulated,
+                       profile_from_spec, rate_gamma, rate_pair)
 from .thermo import (EnergyLedger, connect_disconnect_work, entropy_production,
                      gibbs_state, heat_flow_integral, heat_into_system,
                      internal_energy, relative_entropy, von_neumann_entropy,

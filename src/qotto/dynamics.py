@@ -328,7 +328,7 @@ def cp_divisibility_witness(rep: VectorizedRep) -> tuple[bool, np.ndarray]:
     """
     m = _WITNESS_PROJECTOR @ rep.omega_of_gen @ _WITNESS_PROJECTOR
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > 1e-9 * max(1.0, np.max(np.abs(m))):
+    if dev > TOL.witness_hermitian * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"projected witness operator is not Hermitian: deviation {dev:.3e}")
     evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return bool(evals.min() >= TOL.rate_floor), evals

@@ -6,14 +6,17 @@ and the decay rate gamma(t) = f(t) tan F(t). Three variants are provided:
 
 * ``MarkovianProfile`` -- the constant-rate choice; gamma(t) = 1/(2g) for
   all t > 0 and the reduced dynamics is a CP-divisible semigroup.
-* ``NonMarkovianProfile`` -- the same profile plus an oscillatory
-  correction whose rate goes negative on short time windows.
+* ``NonMarkovianProfile`` -- the constant-rate f and F plus an oscillatory
+  correction (and its closed-form integral) whose rate goes negative on
+  short time windows.
 * ``TabulatedProfile`` -- user-supplied (t, f) samples with linear
   interpolation.
 
 Both analytic profiles diverge like 1/(2 sqrt(g t)) as t -> 0+, which is
 integrable; F is therefore always evaluated from its closed form, never by
-quadrature across the singularity.
+quadrature across the singularity. ``profile_from_spec`` is the one place
+that turns a profile name (``markovian``, ``nonmarkovian``, ``tabulated:PATH``)
+into a profile.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularGeneratorError
+from .errors import ConfigError, SingularGeneratorError
 from .tolerances import TOL
 
 
@@ -63,20 +66,30 @@ class CouplingProfile:
         return None
 
 
+def _constant_rate_f(g: float, t: float) -> float:
+    """Coupling f(t) of the constant-rate profile with bath parameter g."""
+    if t <= 0.0:
+        raise ValueError(f"coupling strength requires t > 0, got t = {t}")
+    # -expm1 keeps 1 - e^{-t/g} accurate for t near 0
+    return math.exp(-t / (2.0 * g)) / (2.0 * g * math.sqrt(-math.expm1(-t / g)))
+
+
+def _constant_rate_phase(g: float, t: float) -> float:
+    """Accumulated phase F(t) of the constant-rate profile with bath parameter g."""
+    if t < 0.0:
+        raise ValueError(f"accumulated phase requires t >= 0, got t = {t}")
+    return math.pi / 2.0 - math.asin(math.exp(-t / (2.0 * g)))
+
+
 @dataclass(frozen=True)
 class MarkovianProfile(CouplingProfile):
     """Coupling with constant rate gamma = 1/(2g); CP-divisible for all t."""
 
     def f(self, t: float) -> float:
-        if t <= 0.0:
-            raise ValueError(f"coupling strength requires t > 0, got t = {t}")
-        # -expm1 keeps 1 - e^{-t/g} accurate for t near 0
-        return math.exp(-t / (2.0 * self.g)) / (2.0 * self.g * math.sqrt(-math.expm1(-t / self.g)))
+        return _constant_rate_f(self.g, t)
 
     def phase(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError(f"accumulated phase requires t >= 0, got t = {t}")
-        return math.pi / 2.0 - math.asin(math.exp(-t / (2.0 * self.g)))
+        return _constant_rate_phase(self.g, t)
 
     def _rate_at_singularity(self, t: float) -> float | None:
         return 1.0 / (2.0 * self.g)
@@ -94,17 +107,12 @@ class NonMarkovianProfile(CouplingProfile):
     """
 
     def f(self, t: float) -> float:
-        if t <= 0.0:
-            raise ValueError(f"coupling strength requires t > 0, got t = {t}")
-        base = math.exp(-t / (2.0 * self.g)) / (2.0 * self.g * math.sqrt(-math.expm1(-t / self.g)))
         u = 10.0 * t + 1.0
-        return base - 10.0 * math.sin(20.0 * t) / u**2 + 20.0 * math.cos(20.0 * t) / u
+        return (_constant_rate_f(self.g, t)
+                - 10.0 * math.sin(20.0 * t) / u**2 + 20.0 * math.cos(20.0 * t) / u)
 
     def phase(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError(f"accumulated phase requires t >= 0, got t = {t}")
-        base = math.pi / 2.0 - math.asin(math.exp(-t / (2.0 * self.g)))
-        return base + math.sin(20.0 * t) / (10.0 * t + 1.0)
+        return _constant_rate_phase(self.g, t) + math.sin(20.0 * t) / (10.0 * t + 1.0)
 
 
 @dataclass(frozen=True)
@@ -169,19 +177,15 @@ def load_tabulated(path, g: float) -> TabulatedProfile:
     return TabulatedProfile(g=g, times=data[:, 0], values=data[:, 1])
 
 
-def coupling_f(profile: CouplingProfile, t: float) -> float:
-    """Coupling strength f(t) of the given profile."""
-    return profile.f(t)
-
-
-def accumulated_phase(profile: CouplingProfile, t: float) -> float:
-    """Accumulated phase F(t) = integral of f over [0, t]."""
-    return profile.phase(t)
-
-
-def thermalization_weight(profile: CouplingProfile, t: float) -> float:
-    """sin^2 F(t); equals 1 - e^{-t/g} for the Markovian profile."""
-    return profile.thermal_weight(t)
+def profile_from_spec(spec: str, g: float) -> CouplingProfile:
+    """Profile named by a config spec: markovian, nonmarkovian or tabulated:PATH."""
+    if spec == "markovian":
+        return MarkovianProfile(g=g)
+    if spec == "nonmarkovian":
+        return NonMarkovianProfile(g=g)
+    if spec.startswith("tabulated:"):
+        return load_tabulated(spec.split(":", 1)[1], g=g)
+    raise ConfigError([f"unknown profile '{spec}' (markovian|nonmarkovian|tabulated:PATH)"])
 
 
 def rate_gamma(profile: CouplingProfile, t: float) -> float:

@@ -152,7 +152,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     overlaps = np.abs(r_vecs.conj().T @ s_vecs) ** 2  # overlaps[i, j] = |<u_i|w_j>|^2
     weights = r_vals @ overlaps
     null = s_vals <= TOL.entropy_eig_floor
-    if np.any(weights[null] > 1e-12):
+    if np.any(weights[null] > TOL.support_weight):
         raise SupportViolationError(
             "relative entropy diverges: first state has support outside the second's")
 

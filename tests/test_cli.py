@@ -40,6 +40,22 @@ class TestWitnessScan:
         gamma_m = column(header, rows, "gamma_markovian")
         assert max(abs(v - 1.0) for v in gamma_m) <= 1e-9
 
+    def test_markovian_columns_finite_past_the_singular_phase(self, tmp_path):
+        # from t ~ 37g, |cos F| < 1e-8 and the map is not invertible, yet
+        # gamma = 1/(2g) and the witness spectrum stay known in closed form
+        out = tmp_path / "scan.csv"
+        assert run(["witness", "--g", "0.8", "--t-max", "60", "--points", "2000",
+                    "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        gammas = column(header, rows, "gamma_markovian")
+        flags = column(header, rows, "markovian_flag_markovian")
+        wmins = column(header, rows, "witness_min_eig_markovian")
+        assert all(math.isfinite(v) for v in gammas + wmins)
+        assert -1 not in flags
+        for gamma, wmin in zip(gammas, wmins):
+            closed = min(0.0, 1.8 * gamma, 0.2 * gamma)
+            assert abs(wmin - closed) <= 1e-9 * max(1.0, abs(gamma))
+
     def test_empty_range_is_usage_error(self):
         assert run(["witness", "--t-max", "0", "--points", "100"]) == 1
         assert run(["witness", "--t-max", "2", "--points", "1"]) == 1
@@ -242,12 +258,24 @@ class TestExitCodes:
         monkeypatch.setattr(cycle_mod.CycleReport, "law_audits", broken_audits)
         assert run(["cycle", "--out", str(tmp_path / "c.csv")]) == 3
 
-    def test_runtime_failure_in_oracle_exits_two(self, tmp_path, capsys):
-        # the closed form is finite here; the oracle's relative entropy diverges
-        code = run(["cycle", "--oracle", "--set", "beta_c=1e6",
-                    "--out", str(tmp_path / "c.csv")])
+    def test_runtime_failure_in_oracle_exits_two(self, tmp_path, capsys, monkeypatch):
+        from qotto import cycle as cycle_mod
+        from qotto.errors import IntegrationFailureError
+
+        def failing(*args, **kwargs):
+            raise IntegrationFailureError("step size underflow")
+        monkeypatch.setattr(cycle_mod, "oracle_propagate", failing)
+        code = run(["cycle", "--oracle", "--out", str(tmp_path / "c.csv")])
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_oracle_answers_cold_bath(self, tmp_path):
+        # the cold bath's upper level rounds to zero: the oracle's entropy
+        # production must not go through the 4x4 relative entropy
+        out = tmp_path / "c.csv"
+        assert run(["cycle", "--oracle", "--set", "beta_c=1e6", "--out", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert float(meta["oracle_max_energy_deviation"]) <= 1e-5
 
     @pytest.mark.parametrize("pair, field", [("tau_h=nan", "tau_h"), ("tau_c=inf", "tau_c")])
     def test_non_finite_value_is_config_error(self, pair, field, tmp_path, capsys):

@@ -27,6 +27,14 @@ def random_config(rng, kind=None):
                         kind_h=kind)
 
 
+def tabulated_spec(tmp_path) -> str:
+    reference = MarkovianProfile(g=0.5)
+    grid = np.linspace(1e-3, 3.0, 301) ** 2
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(f"{t:.17g} {reference.f(t):.17g}" for t in grid))
+    return f"tabulated:{path}"
+
+
 class TestWeakCycle:
     def test_engine_example(self):
         report = weak_cycle(build_config(**ENGINE, tau_h=2.0, tau_c=2.0))
@@ -101,6 +109,17 @@ class TestConfigValidation:
     def test_build_config_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_config(**ENGINE, tau_h=1.0, tau_c=1.0, kind_h="exotic")
+
+    def test_build_config_tabulated_matches_cli_loader(self, tmp_path):
+        from qotto.cli import load_cycle_config
+        spec = tabulated_spec(tmp_path)
+        built = build_config(**ENGINE, tau_h=1.0, tau_c=1.0, kind_h=spec)
+        loaded, _ = load_cycle_config(None, {**ENGINE, "tau_h": 1.0, "tau_c": 1.0,
+                                             "profile_h": spec, "profile_c": spec})
+        for a, b in ((built.profile_h, loaded.profile_h), (built.profile_c, loaded.profile_c)):
+            assert type(a) is type(b) is TabulatedProfile
+            assert a.g == b.g
+            assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
 
 
 class TestStrongCycle:
@@ -350,6 +369,21 @@ class TestApplyAxis:
         config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0)
         swept = apply_axis(config, "omega_h", 3.0)
         assert swept.profile_h.g == pytest.approx(math.tanh(0.2 * 3.0), abs=1e-14)
+
+    @pytest.mark.parametrize("axis, value", [("g_h", 0.3), ("omega_h", 3.0), ("beta_c", 2.5)])
+    def test_axes_keep_profile_type_and_table(self, tmp_path, axis, value):
+        for kind in ("markovian", "nonmarkovian", tabulated_spec(tmp_path)):
+            config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0, kind_h=kind)
+            swept = apply_axis(config, axis, value)
+            for old, new, beta, omega in (
+                    (config.profile_h, swept.profile_h, swept.beta_h, swept.omega_h),
+                    (config.profile_c, swept.profile_c, swept.beta_c, swept.omega_c)):
+                assert type(new) is type(old)
+                assert new.g == math.tanh(beta * omega)
+                if isinstance(old, TabulatedProfile):
+                    assert np.array_equal(new.times, old.times)
+                    assert np.array_equal(new.values, old.values)
+                    assert new.phase(2.0) == old.phase(2.0)
 
     def test_unknown_axis(self):
         config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qotto.errors import SingularGeneratorError
+from qotto.errors import ConfigError, SingularGeneratorError
 from qotto.profiles import (MarkovianProfile, NonMarkovianProfile,
-                            TabulatedProfile, accumulated_phase, coupling_f,
-                            is_markovian, load_tabulated, rate_gamma,
-                            rate_pair, thermalization_weight)
+                            TabulatedProfile, is_markovian, load_tabulated,
+                            profile_from_spec, rate_gamma, rate_pair)
 
 T_HALF = 0.8 * math.log(2.0)  # semigroup profile with g = 0.8 reaches sin^2 F = 1/2 here
 
@@ -39,22 +38,22 @@ def quadrature_phase(profile, t):
 
 class TestCouplingStrength:
     def test_markovian_value(self):
-        assert coupling_f(MarkovianProfile(g=0.8), T_HALF) == pytest.approx(0.625, abs=1e-12)
+        assert MarkovianProfile(g=0.8).f(T_HALF) == pytest.approx(0.625, abs=1e-12)
 
     def test_markovian_decays(self):
-        assert coupling_f(MarkovianProfile(g=0.5), 40.0) < 1e-10
+        assert MarkovianProfile(g=0.5).f(40.0) < 1e-10
 
     def test_nonmarkovian_value(self):
         # frozen from a 30-digit evaluation of the defining expression
-        value = coupling_f(NonMarkovianProfile(g=0.8), T_HALF)
+        value = NonMarkovianProfile(g=0.8).f(T_HALF)
         assert value == pytest.approx(1.146568770775536, abs=1e-12)
 
     @pytest.mark.parametrize("cls", [MarkovianProfile, NonMarkovianProfile])
     def test_domain_error(self, cls):
         with pytest.raises(ValueError):
-            coupling_f(cls(g=0.5), 0.0)
+            cls(g=0.5).f(0.0)
         with pytest.raises(ValueError):
-            coupling_f(cls(g=0.5), -1.0)
+            cls(g=0.5).f(-1.0)
 
     def test_g_range_enforced(self):
         with pytest.raises(ValueError):
@@ -63,30 +62,42 @@ class TestCouplingStrength:
             MarkovianProfile(g=1.2)
 
 
+class TestNonMarkovianCorrection:
+    @pytest.mark.parametrize("g", [0.2, 0.8, 0.99])
+    def test_constant_rate_plus_correction_bit_for_bit(self, g):
+        markovian, nonmarkovian = MarkovianProfile(g=g), NonMarkovianProfile(g=g)
+        for t in np.linspace(1e-3, 10.0, 500):
+            t = float(t)
+            u = 10.0 * t + 1.0
+            assert nonmarkovian.f(t) == (markovian.f(t) - 10.0 * math.sin(20.0 * t) / u**2
+                                         + 20.0 * math.cos(20.0 * t) / u)
+            assert nonmarkovian.phase(t) == markovian.phase(t) + math.sin(20.0 * t) / u
+
+
 class TestAccumulatedPhase:
     @pytest.mark.parametrize("profile", [MarkovianProfile(g=0.3),
                                          NonMarkovianProfile(g=0.8)])
     def test_zero_at_zero(self, profile):
-        assert accumulated_phase(profile, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert profile.phase(0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_markovian_saturates_at_half_pi(self):
         profile = MarkovianProfile(g=0.4)
-        assert accumulated_phase(profile, 60 * 0.4) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert profile.phase(60 * 0.4) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_markovian_quarter_pi(self):
-        assert accumulated_phase(MarkovianProfile(g=0.8), T_HALF) == pytest.approx(
+        assert MarkovianProfile(g=0.8).phase(T_HALF) == pytest.approx(
             math.pi / 4, abs=1e-12)
 
     @pytest.mark.parametrize("g,t", [(0.8, 0.3), (0.8, 1.7), (0.3, 0.9), (0.99, 2.5)])
     def test_nonmarkovian_closed_form_matches_quadrature(self, g, t):
         profile = NonMarkovianProfile(g=g)
-        assert accumulated_phase(profile, t) == pytest.approx(
+        assert profile.phase(t) == pytest.approx(
             quadrature_phase(profile, t), abs=1e-9)
 
     @pytest.mark.parametrize("g,t", [(0.5, 0.7), (0.9, 2.2)])
     def test_markovian_closed_form_matches_quadrature(self, g, t):
         profile = MarkovianProfile(g=g)
-        assert accumulated_phase(profile, t) == pytest.approx(
+        assert profile.phase(t) == pytest.approx(
             quadrature_phase(profile, t), abs=1e-9)
 
     @pytest.mark.parametrize("profile", [MarkovianProfile(g=0.5),
@@ -107,14 +118,14 @@ class TestAccumulatedPhase:
 
 class TestThermalizationWeight:
     def test_zero_at_zero(self):
-        assert thermalization_weight(MarkovianProfile(g=0.8), 0.0) == 0.0
+        assert MarkovianProfile(g=0.8).thermal_weight(0.0) == 0.0
 
     def test_half_at_half_life(self):
-        assert thermalization_weight(MarkovianProfile(g=0.8), T_HALF) == pytest.approx(
+        assert MarkovianProfile(g=0.8).thermal_weight(T_HALF) == pytest.approx(
             0.5, abs=1e-12)
 
     def test_saturates_to_one(self):
-        assert thermalization_weight(MarkovianProfile(g=0.7), 50 * 0.7) == pytest.approx(
+        assert MarkovianProfile(g=0.7).thermal_weight(50 * 0.7) == pytest.approx(
             1.0, abs=1e-12)
 
     @pytest.mark.parametrize("g", [0.1, 0.5, 0.8, 0.99])
@@ -222,6 +233,16 @@ class TestTabulated:
         assert profile.g == 0.4
         assert profile.f(0.2) == pytest.approx(2.0)
         assert profile.f(0.35) == pytest.approx(1.25)
+
+    def test_profile_from_spec(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("0.1 1.0\n0.2 2.0\n")
+        assert type(profile_from_spec("markovian", 0.4)) is MarkovianProfile
+        assert type(profile_from_spec("nonmarkovian", 0.4)) is NonMarkovianProfile
+        tabulated = profile_from_spec(f"tabulated:{path}", 0.4)
+        assert tabulated.g == 0.4 and list(tabulated.times) == [0.1, 0.2]
+        with pytest.raises(ConfigError, match=r"unknown profile 'exotic' \(markovian\|"):
+            profile_from_spec("exotic", 0.4)
 
     def test_sampled_markovian_approximates_closed_form(self):
         # sqrt-spaced grid keeps the trapezoid accurate through the 1/sqrt(t)
