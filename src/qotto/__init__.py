@@ -14,8 +14,7 @@ from .dynamics import (BathSpec, QubitState, VectorizedRep,
                        cp_divisibility_witness, joint_state,
                        joint_state_closed_form, master_equation_rhs,
                        oracle_propagate, oracle_trajectory, reduced_state,
-                       total_hamiltonian, vectorized_reps,
-                       witness_min_eigenvalue)
+                       total_hamiltonian, vectorized_reps)
 from .errors import (ConfigError, IntegrationFailureError, PositivityError,
                      QottoError, SingularGeneratorError, SupportViolationError,
                      UndefinedPowerError)

@@ -282,7 +282,7 @@ def run_cycle(args) -> int:
     """One strongly coupled cycle: per-stroke CSV plus human-readable summary."""
     config, raw = load_cycle_config(args.config, _parse_overrides(args.set))
     report = strong_cycle(config)
-    oracle = strong_cycle_via_oracle(config, steps=args.steps) if args.oracle else None
+    oracle = strong_cycle_via_oracle(config) if args.oracle else None
     oracle_dev = max_energy_deviation(report, oracle) if oracle is not None else None
 
     header, rows = _stroke_rows(report, oracle)
@@ -391,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override one config entry (repeatable)")
     p_cyc.add_argument("--oracle", action="store_true",
                        help="also integrate every contact stroke numerically")
-    p_cyc.add_argument("--steps", type=int, default=None,
-                       help="cap the oracle step size at stroke_duration/steps")
     common(p_cyc)
 
     p_swp = sub.add_parser("sweep", help="sweep one cycle parameter")

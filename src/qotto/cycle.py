@@ -216,28 +216,26 @@ def _stroke_ledgers(e_a1: float, e_b: float, e_c1: float, e_d: float, e_a0: floa
     }
 
 
-def _metrics(work: float, heat_hot: float, heat_cold: float, tau: float,
-             allow_zero_tau: bool) -> tuple[float, float, float, float]:
+def _metrics(work: float, heat_hot: float, heat_cold: float,
+             tau: float) -> tuple[float, float, float, float]:
     eta = -work / heat_hot if heat_hot != 0.0 else math.nan
     cop = heat_cold / work if work != 0.0 else math.nan
-    if tau > 0.0:
-        power = -work / tau
-        kappa = heat_cold / tau
-    elif allow_zero_tau:
-        power = math.nan
-        kappa = math.nan
-    else:
-        raise UndefinedPowerError("power is undefined for a cycle of zero total duration")
+    power = -work / tau if tau > 0.0 else math.nan
+    kappa = heat_cold / tau if tau > 0.0 else math.nan
     return eta, power, kappa, cop
 
 
-def _assemble(config: CycleConfig, strokes: dict, sw_h: float, sw_c: float,
-              p_back: float, allow_zero_tau: bool) -> CycleReport:
-    work = strokes["quench_up"].work + strokes["quench_down"].work
+def _assemble(config: CycleConfig, strokes: dict, work: float, sw_h: float,
+              sw_c: float, p_back: float) -> CycleReport:
+    """Report from the stroke ledgers and the net work ``work``.
+
+    The two quench works are of size omega_h and cancel; their sum loses the
+    relative precision of the net work W0 sin^2 F_h, so callers pass it in.
+    """
     heat_hot = strokes["hot_contact"].heat
     heat_cold = strokes["cold_contact"].heat
     tau = config.tau
-    eta, power, kappa, cop = _metrics(work, heat_hot, heat_cold, tau, allow_zero_tau)
+    eta, power, kappa, cop = _metrics(work, heat_hot, heat_cold, tau)
 
     g_c, g_h = config.g_c, config.g_h
     w0 = (config.omega_c - config.omega_h) * (g_c - g_h)
@@ -284,7 +282,7 @@ def weak_cycle(config: CycleConfig) -> CycleReport:
     e_a, e_c = -wc * g_c, -wh * g_h
     strokes = _stroke_ledgers(e_a, -wh * g_c, e_c, -wc * g_h, e_a,
                               w_ab, w_cd, q_h, q_c, sigma_h, sigma_c)
-    return _assemble(config, strokes, 1.0, 1.0, p_a, allow_zero_tau=False)
+    return _assemble(config, strokes, (wc - wh) * (g_c - g_h), 1.0, 1.0, p_a)
 
 
 def _boundary_coupling(profile: CouplingProfile, t: float) -> np.ndarray:
@@ -336,11 +334,10 @@ def strong_cycle(config: CycleConfig) -> CycleReport:
                               wc * (2.0 * p_c1 - 1.0), wc * (2.0 * p_a0 - 1.0),
                               w_ab, w_cd, q_h, q_c, sigma_h, sigma_c,
                               (0.0, -0.0, 0.0, -0.0))
-    return _assemble(config, strokes, sw_h, sw_c, p_a0, allow_zero_tau=True)
+    return _assemble(config, strokes, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c, p_a0)
 
 
-def strong_cycle_via_oracle(config: CycleConfig, steps: int | None = None,
-                            rtol: float = 1e-11, atol: float = 1e-13) -> CycleReport:
+def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     """Strong cycle with both contact strokes run through the ODE integrator.
 
     Every energy entry must match :func:`strong_cycle` within the oracle
@@ -363,8 +360,7 @@ def strong_cycle_via_oracle(config: CycleConfig, steps: int | None = None,
                         bath_thermal_matrix(profile.g))
         if tau <= 0.0:
             return start, start, 0.0, 0.0
-        end = oracle_propagate(QubitState(p=p_in), profile, omega, tau,
-                               steps=steps, rtol=rtol, atol=atol)
+        end = oracle_propagate(QubitState(p=p_in), profile, omega, tau)
         h_b = omega * linalg.SIGMA_Z
         heat = -(thermo.bath_energy(end, h_b) - thermo.bath_energy(start, h_b))
         # Delta S_S - beta Q, as in strong_cycle; the 4x4 relative entropy
@@ -396,8 +392,8 @@ def strong_cycle_via_oracle(config: CycleConfig, steps: int | None = None,
                               sigma_h, sigma_c, (w_con_h, w_dis_h, w_con_c, w_dis_c))
 
     p_a0 = float(linalg.partial_trace_bath(cold_end)[0, 0].real)
-    return _assemble(config, strokes, ph.thermal_weight(config.tau_h),
-                     pc.thermal_weight(config.tau_c), p_a0, allow_zero_tau=True)
+    return _assemble(config, strokes, w_ab + w_cd, ph.thermal_weight(config.tau_h),
+                     pc.thermal_weight(config.tau_c), p_a0)
 
 
 def max_energy_deviation(a: CycleReport, b: CycleReport) -> float:

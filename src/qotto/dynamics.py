@@ -6,8 +6,14 @@ joint state of a product input (arbitrary system qubit, diagonal bath qubit
 with parameter g) is known in closed form for any accumulated phase
 F(t). This module provides that closed form, the reduced qubit state, the
 time-local master equation, the vectorized map/generator pair with its
-reshuffled form and CP-divisibility witness, and an independent adaptive ODE
-integrator used to audit all of the closed forms.
+reshuffled form and CP-divisibility witness, and an independent ODE oracle
+that audits the closed forms.
+
+Two audit routes live here. The oracle integrates the complex joint state
+with RK45 in one routine, ``_integrate``, at ``TOL.oracle_rtol`` and
+``TOL.oracle_atol``. The vectorized map, its derivative and its inverse are
+built by one helper from a 2x2 population block and a coherence factor, with
+the phase and the coupling each evaluated once per time.
 
 Convention: the joint state evolves through U(t) = exp(-i * int_0^t H dt').
 """
@@ -173,10 +179,9 @@ def master_equation_rhs(rho: np.ndarray, omega: float, rates: RatePair) -> np.nd
 
 def _liouville_rhs(profile: CouplingProfile, omega: float):
     def rhs(t, y):
-        rho = (y[:16] + 1j * y[16:]).reshape(4, 4)
+        rho = y.reshape(4, 4)
         h = total_hamiltonian(omega, profile.f(t))
-        drho = -1j * (h @ rho - rho @ h)
-        return np.concatenate([drho.real.ravel(), drho.imag.ravel()])
+        return (-1j * (h @ rho - rho @ h)).ravel()
     return rhs
 
 
@@ -191,9 +196,23 @@ def _seed_state(sys: QubitState, profile: CouplingProfile, omega: float,
     return u @ rho0 @ u.conj().T
 
 
+def _integrate(sys: QubitState, profile: CouplingProfile, omega: float,
+               t0: float, t1: float, **options) -> np.ndarray:
+    """Joint states from the seed at t0, integrated by RK45 to t1, shape (n, 4, 4).
+
+    The complex 16-vector is integrated as it is, at ``TOL.oracle_rtol`` and
+    ``TOL.oracle_atol``; ``options`` go to ``solve_ivp`` (``t_eval``).
+    """
+    sol = solve_ivp(_liouville_rhs(profile, omega), (t0, t1),
+                    _seed_state(sys, profile, omega, t0).ravel(), method="RK45",
+                    rtol=TOL.oracle_rtol, atol=TOL.oracle_atol, **options)
+    if not sol.success:
+        raise IntegrationFailureError(sol.message)
+    return sol.y.T.reshape(-1, 4, 4)
+
+
 def oracle_propagate(sys: QubitState, profile: CouplingProfile, omega: float,
-                     t: float, steps: int | None = None,
-                     rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+                     t: float) -> np.ndarray:
     """Joint state at time t by adaptive 4th/5th-order integration of drho/dt = -i [H(t), rho].
 
     Deliberately avoids the commuting-Hamiltonian shortcut (except on the
@@ -205,20 +224,11 @@ def oracle_propagate(sys: QubitState, profile: CouplingProfile, omega: float,
     t_seed = max(ORACLE_T_START, profile.t_min)
     if t <= t_seed:
         return _seed_state(sys, profile, omega, t)
-    y0 = _seed_state(sys, profile, omega, t_seed)
-    y0 = np.concatenate([y0.real.ravel(), y0.imag.ravel()])
-    max_step = (t - t_seed) / steps if steps else np.inf
-    sol = solve_ivp(_liouville_rhs(profile, omega), (t_seed, t), y0,
-                    method="RK45", rtol=rtol, atol=atol, max_step=max_step)
-    if not sol.success:
-        raise IntegrationFailureError(sol.message)
-    y = sol.y[:, -1]
-    return (y[:16] + 1j * y[16:]).reshape(4, 4)
+    return _integrate(sys, profile, omega, t_seed, t)[-1]
 
 
 def oracle_trajectory(sys: QubitState, profile: CouplingProfile, omega: float,
-                      times: np.ndarray, rtol: float = 1e-10,
-                      atol: float = 1e-12) -> np.ndarray:
+                      times: np.ndarray) -> np.ndarray:
     """Joint states sampled at the given times (all >= ORACLE_T_START), shape (n, 4, 4)."""
     times = np.asarray(times, dtype=float)
     t_seed = max(ORACLE_T_START, profile.t_min)
@@ -226,14 +236,7 @@ def oracle_trajectory(sys: QubitState, profile: CouplingProfile, omega: float,
         raise ValueError("times must be a strictly increasing 1-d array with >= 2 entries")
     if times[0] < t_seed:
         raise ValueError(f"trajectory must start at or after {t_seed}, got {times[0]}")
-    y0 = _seed_state(sys, profile, omega, times[0])
-    y0 = np.concatenate([y0.real.ravel(), y0.imag.ravel()])
-    sol = solve_ivp(_liouville_rhs(profile, omega), (times[0], times[-1]), y0,
-                    method="RK45", rtol=rtol, atol=atol, t_eval=times)
-    if not sol.success:
-        raise IntegrationFailureError(sol.message)
-    y = sol.y
-    return (y[:16].T + 1j * y[16:].T).reshape(-1, 4, 4)
+    return _integrate(sys, profile, omega, times[0], times[-1], t_eval=times)
 
 
 # --- vectorized map, generator and witness ----------------------------------
@@ -255,66 +258,41 @@ def reshuffle(a: np.ndarray) -> np.ndarray:
     return a.reshape(2, 2, 2, 2).transpose(3, 1, 2, 0).reshape(4, 4)
 
 
-def _map_hat(profile: CouplingProfile, omega: float, t: float) -> np.ndarray:
-    g = profile.g
-    phase = profile.phase(t)
-    s = math.sin(phase) ** 2
-    cf = math.cos(phase)
+def _vec_matrix(block, c: complex) -> np.ndarray:
+    """4x4 vectorized superoperator of this model: the 2x2 ``block`` acts on the
+    populations (indices 0 and 3), the coherences scale by c at [1,1] and conj(c) at [2,2]."""
     m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0 - 0.5 * (1.0 + g) * s
-    m[0, 3] = 0.5 * (1.0 - g) * s
-    m[3, 0] = 0.5 * (1.0 + g) * s
-    m[3, 3] = 1.0 - 0.5 * (1.0 - g) * s
-    m[1, 1] = np.exp(-2j * omega * t) * cf
-    m[2, 2] = np.exp(2j * omega * t) * cf
-    return m
-
-
-def _map_hat_dot(profile: CouplingProfile, omega: float, t: float) -> np.ndarray:
-    g = profile.g
-    # f(t) diverges at t = 0 but the products f sin(2F) and f sin(F) have
-    # finite limits; evaluating them just above zero realizes those limits
-    t_f = max(t, 1e-12)
-    phase = profile.phase(t_f)
-    fval = profile.f(t_f)
-    ds = fval * math.sin(2.0 * phase)
-    cf = math.cos(phase)
-    sf = math.sin(phase)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = -0.5 * (1.0 + g) * ds
-    m[0, 3] = 0.5 * (1.0 - g) * ds
-    m[3, 0] = 0.5 * (1.0 + g) * ds
-    m[3, 3] = -0.5 * (1.0 - g) * ds
-    m[1, 1] = np.exp(-2j * omega * t) * (-2j * omega * cf - fval * sf)
-    m[2, 2] = np.exp(2j * omega * t) * (2j * omega * cf - fval * sf)
-    return m
-
-
-def _map_hat_inv(profile: CouplingProfile, omega: float, t: float) -> np.ndarray:
-    # adjugate inverse; the population-block determinant equals 1 - sin^2 F,
-    # which is evaluated as cos^2 F to avoid cancellation near singularities
-    g = profile.g
-    phase = profile.phase(t)
-    s = math.sin(phase) ** 2
-    cf = math.cos(phase)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = (1.0 - 0.5 * (1.0 - g) * s) / cf**2
-    m[0, 3] = -0.5 * (1.0 - g) * s / cf**2
-    m[3, 0] = -0.5 * (1.0 + g) * s / cf**2
-    m[3, 3] = (1.0 - 0.5 * (1.0 + g) * s) / cf**2
-    m[1, 1] = np.exp(2j * omega * t) / cf
-    m[2, 2] = np.exp(-2j * omega * t) / cf
+    m[::3, ::3] = block
+    m[1, 1] = c
+    m[2, 2] = np.conj(c)
     return m
 
 
 def vectorized_reps(profile: CouplingProfile, omega: float, t: float) -> VectorizedRep:
     """Vectorized map Lambda_t, generator L_t = dLambda_t Lambda_t^{-1}, and Omega(L_t)."""
-    map_hat = _map_hat(profile, omega, t)
-    cf = math.cos(profile.phase(t))
+    g = profile.g
+    up, down = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
+    rot = np.exp(-2j * omega * t)
+    phase = profile.phase(t)
+    cf, s = math.cos(phase), math.sin(phase) ** 2
     if abs(cf) < TOL.cos_phase_singular:
         raise SingularGeneratorError(
             f"dynamical map not invertible at t = {t}: |cos F| = {abs(cf):.2e}")
-    gen_hat = _map_hat_dot(profile, omega, t) @ _map_hat_inv(profile, omega, t)
+    map_hat = _vec_matrix(((1.0 - up * s, down * s), (up * s, 1.0 - down * s)), rot * cf)
+    # f(t) diverges at t = 0 but the products f sin(2F) and f sin(F) have
+    # finite limits; evaluating them just above zero realizes those limits
+    t_f = max(t, 1e-12)
+    phase_f = phase if t_f == t else profile.phase(t_f)
+    fval = profile.f(t_f)
+    ds = fval * math.sin(2.0 * phase_f)
+    dot = _vec_matrix(((-up * ds, down * ds), (up * ds, -down * ds)),
+                      rot * (-2j * omega * math.cos(phase_f) - fval * math.sin(phase_f)))
+    # adjugate inverse; the population-block determinant equals 1 - sin^2 F,
+    # which is evaluated as cos^2 F to avoid cancellation near singularities
+    c2 = cf**2
+    inv = _vec_matrix((((1.0 - down * s) / c2, -down * s / c2),
+                       (-up * s / c2, (1.0 - up * s) / c2)), np.conj(rot) / cf)
+    gen_hat = dot @ inv
     return VectorizedRep(map_hat=map_hat, gen_hat=gen_hat,
                          omega_of_gen=reshuffle(gen_hat))
 
@@ -332,9 +310,3 @@ def cp_divisibility_witness(rep: VectorizedRep) -> tuple[bool, np.ndarray]:
         raise ValueError(f"projected witness operator is not Hermitian: deviation {dev:.3e}")
     evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return bool(evals.min() >= TOL.rate_floor), evals
-
-
-def witness_min_eigenvalue(profile: CouplingProfile, omega: float, t: float) -> float:
-    """Smallest eigenvalue of the projected witness operator at time t."""
-    _, evals = cp_divisibility_witness(vectorized_reps(profile, omega, t))
-    return float(evals.min())

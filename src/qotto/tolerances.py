@@ -32,6 +32,8 @@ class Tolerances:
     clausius_weak: float = 1e-12        # beta_h Qh0 + beta_c Qc0 <= this
     carnot_slack: float = 1e-12
     oracle_match: float = 1e-6          # closed form vs integrator, max entry
+    oracle_rtol: float = 1e-11          # relative step tolerance of the RK45 oracle
+    oracle_atol: float = 1e-13          # absolute step tolerance of the RK45 oracle
     oracle_cycle_match: float = 1e-5    # closed-form vs oracle cycle ledger, max work/heat entry
     master_residual: float = 1e-5       # relative master-equation residual
     stroke_scaling: float = 1e-8        # heat/work scaling identities

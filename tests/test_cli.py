@@ -105,6 +105,25 @@ class TestCycleCommand:
         assert "regime: refrigerator" in text
         assert "K = 0.5" in text
 
+    def test_barely_thermalized_hot_contact_keeps_eta0(self, tmp_path, capsys):
+        # W = W0 sin^2 F_h is ~1e-16 here; as a sum of two quench works of
+        # size omega_h it would read eta = 0.41
+        code = run(["cycle", "--set", "tau_h=1e-15", "--set", "beta_c=2",
+                    "--set", "beta_h=0.5", "--out", str(tmp_path / "cycle.csv")])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "regime: engine" in text
+        assert "eta = 0.5 (eta0 = 0.5" in text
+
+    def test_cold_baths_one_ulp_apart_pass_carnot(self, tmp_path, capsys):
+        # g_c - g_h is one ulp: the net work must not be rounding noise
+        code = run(["cycle", "--set", "beta_c=18.5", "--set", "beta_h=9.1",
+                    "--out", str(tmp_path / "cycle.csv")])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "audit carnot: pass" in text
+        assert "FAIL" not in text
+
     def test_oracle_columns(self, tmp_path):
         out = tmp_path / "cycle.csv"
         code = run(["cycle", "--set", "tau_h=1.0", "--set", "tau_c=1.0",

@@ -274,15 +274,9 @@ def valid_configs(draw):
     assume(beta_c > beta_h)
     kinds = st.sampled_from(["markovian", "nonmarkovian"])
     taus = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
-    config = build_config(omega_c, omega_h, beta_c, beta_h,
-                          tau_h=draw(taus), tau_c=draw(taus),
-                          kind_h=draw(kinds), kind_c=draw(kinds))
-    # the net work is a difference of two stroke works of size omega_h; where
-    # it is sin^2 F_h (g_c - g_h) < 1e-5 of them, eta, the regime and the
-    # Carnot audit are decided by rounding, so only resolvable cycles count
-    sw_h = config.profile_h.thermal_weight(config.tau_h)
-    assume(sw_h == 0.0 or sw_h * (config.g_c - config.g_h) >= 1e-5)
-    return config
+    return build_config(omega_c, omega_h, beta_c, beta_h,
+                        tau_h=draw(taus), tau_c=draw(taus),
+                        kind_h=draw(kinds), kind_c=draw(kinds))
 
 
 class TestScalarRoute:

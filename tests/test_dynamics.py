@@ -1,17 +1,20 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from qotto import linalg
+from qotto import dynamics, linalg
+from qotto.cycle import build_config, strong_cycle_via_oracle
 from qotto.dynamics import (BathSpec, QubitState, bath_thermal_matrix,
                             cp_divisibility_witness, joint_state,
                             joint_state_closed_form, master_equation_rhs,
-                            oracle_propagate, reduced_state, reshuffle,
-                            total_hamiltonian, vectorized_reps)
+                            oracle_propagate, oracle_trajectory, reduced_state,
+                            reshuffle, total_hamiltonian, vectorized_reps)
 from qotto.errors import SingularGeneratorError
 from qotto.profiles import (MarkovianProfile, NonMarkovianProfile, RatePair,
                             TabulatedProfile, rate_gamma, rate_pair)
+from qotto.tolerances import TOL
 
 
 def random_qubit_state(rng):
@@ -19,6 +22,21 @@ def random_qubit_state(rng):
     radius = math.sqrt(p * (1 - p)) * rng.uniform(0.0, 0.95)
     angle = rng.uniform(0, 2 * math.pi)
     return QubitState(p=p, x=radius * np.exp(1j * angle))
+
+
+@dataclass(frozen=True)
+class CountingProfile(MarkovianProfile):
+    """Markovian profile that records each evaluation of f and phase."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def f(self, t):
+        self.calls.append("f")
+        return super().f(t)
+
+    def phase(self, t):
+        self.calls.append("phase")
+        return super().phase(t)
 
 
 def zero_coupling_profile(g=0.5):
@@ -153,15 +171,7 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_propagate(QubitState(p=0.5), MarkovianProfile(g=0.5), 1.0, 0.0)
 
-    def test_step_control(self):
-        sys = QubitState(p=0.3)
-        profile = MarkovianProfile(g=0.8)
-        coarse = oracle_propagate(sys, profile, 1.0, 1.0, steps=50)
-        fine = oracle_propagate(sys, profile, 1.0, 1.0)
-        assert np.max(np.abs(coarse - fine)) <= 1e-8
-
     def test_trajectory_sampling(self):
-        from qotto.dynamics import oracle_trajectory
         profile = MarkovianProfile(g=0.8)
         times = np.linspace(1e-6, 2.0, 5)
         states = oracle_trajectory(QubitState(p=0.3), profile, 1.0, times)
@@ -172,6 +182,19 @@ class TestOracle:
             oracle_trajectory(QubitState(p=0.3), profile, 1.0, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             oracle_trajectory(QubitState(p=0.3), profile, 1.0, np.array([2.0, 1.0]))
+
+    def test_integrates_complex_state_at_shared_tolerances(self, monkeypatch):
+        seen = []
+        solve_ivp = dynamics.solve_ivp
+
+        def recorder(fun, t_span, y0, **options):
+            seen.append((y0.dtype, options["method"], options["rtol"], options["atol"]))
+            return solve_ivp(fun, t_span, y0, **options)
+        monkeypatch.setattr(dynamics, "solve_ivp", recorder)
+        strong_cycle_via_oracle(build_config(1.0, 2.0, 1.0, 0.2, tau_h=0.5, tau_c=0.5))
+        oracle_trajectory(QubitState(p=0.3), MarkovianProfile(g=0.8), 1.0,
+                          np.linspace(1e-6, 0.5, 3))
+        assert seen == [(np.complex128, "RK45", TOL.oracle_rtol, TOL.oracle_atol)] * 3
 
 
 class TestMasterEquation:
@@ -262,6 +285,15 @@ class TestVectorizedReps:
         diag = np.diag(rep.omega_of_gen)
         assert np.allclose(diag, [-(1 + g) * gamma, (1 + g) * gamma,
                                   (1 - g) * gamma, -(1 - g) * gamma], atol=1e-9)
+
+    def test_one_phase_and_one_coupling_evaluation(self):
+        profile = CountingProfile(g=0.8)
+        vectorized_reps(profile, 1.0, 0.7)
+        assert sorted(profile.calls) == ["f", "phase"]
+        # below t = 1e-12 the derivative takes f and F just above zero
+        profile.calls.clear()
+        vectorized_reps(profile, 1.0, 0.0)
+        assert sorted(profile.calls) == ["f", "phase", "phase"]
 
     def test_reshuffle_is_involution(self):
         rng = np.random.default_rng(17)

@@ -6,6 +6,7 @@ from qotto.linalg import (IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z,
                           hermitian_eig, hermitian_log, matrix_exp_skewhermitian,
                           partial_trace_bath, partial_trace_system,
                           require_density, tensor_product, unvec, vec)
+from qotto.tolerances import TOL
 
 
 def random_density(rng, dim):
@@ -101,8 +102,8 @@ class TestHermitianEig:
         a = random_hermitian(rng, 4)
         evals, evecs = hermitian_eig(a)
         recon = (evecs * evals) @ evecs.conj().T
-        assert np.max(np.abs(recon - a)) <= 1e-10
-        assert np.max(np.abs(evecs @ evecs.conj().T - IDENTITY_4)) <= 1e-10
+        assert np.max(np.abs(recon - a)) <= TOL.eig_reconstruction
+        assert np.max(np.abs(evecs @ evecs.conj().T - IDENTITY_4)) <= TOL.unitarity
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -130,7 +131,7 @@ class TestMatrixExp:
         for _ in range(10):
             h = random_hermitian(rng, 4)
             u = matrix_exp_skewhermitian(h, rng.uniform(-3.0, 3.0))
-            assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) <= 1e-10
+            assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) <= TOL.unitarity
 
 
 class TestValidationAndVec:
