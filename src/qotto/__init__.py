@@ -10,9 +10,8 @@ in weak-coupling baseline, Markovian, and non-Markovian variants.
 from .cycle import (CycleConfig, CycleReport, build_config, classify_regime,
                     max_energy_deviation, stroke_entropy_production_trace,
                     strong_cycle, strong_cycle_via_oracle, weak_cycle)
-from .dynamics import (BathSpec, QubitState, VectorizedRep,
-                       cp_divisibility_witness, joint_state,
-                       joint_state_closed_form, master_equation_rhs,
+from .dynamics import (QubitState, VectorizedRep, cp_divisibility_witness,
+                       joint_state, joint_state_closed_form, master_equation_rhs,
                        oracle_propagate, oracle_trajectory, reduced_state,
                        total_hamiltonian, vectorized_reps)
 from .errors import (ConfigError, IntegrationFailureError, PositivityError,

@@ -85,31 +85,6 @@ def _write_csv(path: str | None, header: list[str], rows: list[list],
             emit(stream)
 
 
-def read_csv(path):
-    """Re-parse an emitted CSV: (metadata, header, rows with floats restored)."""
-    metadata, header, rows = {}, None, []
-    with open(path, encoding="utf-8") as stream:
-        for line in stream:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                if "=" in line:
-                    key, _, value = line[1:].partition("=")
-                    metadata[key.strip()] = value.strip()
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            parsed = []
-            for cell in cells:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(cell)
-            rows.append(parsed)
-    return metadata, header, rows
-
-
 # --- configuration ----------------------------------------------------------
 
 _DEFAULT_CONFIG = {
@@ -143,6 +118,9 @@ def load_cycle_config(path: str | None, overrides: dict) -> tuple[CycleConfig, d
     if path is not None:
         with open(path, encoding="utf-8") as stream:
             data = json.load(stream)
+        if not isinstance(data, dict):
+            raise ConfigError(["config file must hold a JSON object, "
+                               f"got {type(data).__name__}"])
         unknown = set(data) - set(_DEFAULT_CONFIG)
         if unknown:
             raise ConfigError([f"unknown config key '{k}'" for k in sorted(unknown)])
@@ -170,12 +148,19 @@ def _config_metadata(raw: dict) -> dict:
 
 # --- commands ----------------------------------------------------------------
 
-def run_power_trace(args) -> int:
-    """Thermalization-weight trace sin^2 F(t) for both analytic profiles."""
+def _check_scan(args) -> None:
+    """The --t-max and --points bounds shared by the dynamics and witness scans."""
     if args.t_max <= 0.0:
         raise ConfigError([f"--t-max must be positive, got {args.t_max}"])
+    if not math.isfinite(args.t_max):
+        raise ConfigError([f"--t-max must be finite, got {args.t_max}"])
     if args.points < 2:
         raise ConfigError([f"--points must be >= 2, got {args.points}"])
+
+
+def run_power_trace(args) -> int:
+    """Thermalization-weight trace sin^2 F(t) for both analytic profiles."""
+    _check_scan(args)
     profiles = [profile_from_spec(name, args.g) for name in _ANALYTIC_PROFILES]
     rows = []
     for t in np.linspace(0.0, args.t_max, args.points):
@@ -189,10 +174,7 @@ def run_power_trace(args) -> int:
 
 def run_witness_scan(args) -> int:
     """Rate and CP-divisibility witness scan over (0, t_max] for both profiles."""
-    if args.t_max <= 0.0:
-        raise ConfigError([f"--t-max must be positive, got {args.t_max}"])
-    if args.points < 2:
-        raise ConfigError([f"--points must be >= 2, got {args.points}"])
+    _check_scan(args)
     omega = 1.0  # the projected witness spectrum does not depend on omega
     profiles = [profile_from_spec(name, args.g) for name in _ANALYTIC_PROFILES]
     header = ["t"]
@@ -254,7 +236,7 @@ def _stroke_rows(report: CycleReport, oracle: CycleReport | None) -> tuple[list,
 def _summary(report: CycleReport, oracle_dev: float | None) -> str:
     audits = report.law_audits()
     lines = [
-        f"regime: {report.regime} (frequency-ratio rule says: {report.ratio_rule_regime})",
+        f"regime: {report.regime}",
         f"W = {report.work_total:.10g}   Q_h = {report.heat_hot:.10g}   "
         f"Q_c = {report.heat_cold:.10g}   tau = {report.tau:.10g}",
         f"thermal weights: hot {report.thermal_weight_hot:.10g}, "
@@ -340,6 +322,8 @@ def run_sweep(args) -> int:
         raise ConfigError([f"--sweep bounds must be numeric, got '{args.sweep}'"])
     if count < 1 or (count > 1 and hi <= lo):
         raise ConfigError([f"degenerate sweep range '{args.sweep}'"])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError([f"--sweep bounds must be finite, got '{args.sweep}'"])
 
     base, raw = load_cycle_config(args.config, _parse_overrides(args.set))
     values = np.linspace(lo, hi, count)

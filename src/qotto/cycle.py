@@ -9,6 +9,9 @@ weights sin^2 F of the contact strokes:
     Q_h = Q_h0 sin^2 F_h,   Q_c = Q_c0 sin^2 F_h sin^2 F_c,
     W   = W0   sin^2 F_h,   eta = eta0,   K = K0 sin^2 F_c.
 
+The weak-coupling cycle is the same closed form at sin^2 F_h = sin^2 F_c = 1,
+so one routine evaluates both.
+
 Partial thermalization in the final stroke breaks exact cyclicity; the
 report carries the residual instead of silently assuming closure.
 """
@@ -131,7 +134,6 @@ class CycleReport:
     kappa: float
     cop: float
     regime: str
-    ratio_rule_regime: str
     eta0: float
     power0: float
     kappa0: float
@@ -168,17 +170,6 @@ def classify_regime(heat_hot: float, heat_cold: float, work: float) -> str:
     if heat_hot > 0.0 and heat_cold < 0.0 and work < 0.0:
         return "engine"
     if heat_hot < 0.0 and heat_cold > 0.0 and work > 0.0:
-        return "refrigerator"
-    return "other"
-
-
-def _ratio_rule_regime(config: CycleConfig) -> str:
-    """Frequency-ratio labelling; surfaced alongside the sign-based regime."""
-    ratio = config.beta_c / config.beta_h if config.beta_h > 0.0 else math.inf
-    freq = config.omega_h / config.omega_c
-    if freq > ratio:
-        return "engine"
-    if freq < ratio:
         return "refrigerator"
     return "other"
 
@@ -254,7 +245,6 @@ def _assemble(config: CycleConfig, strokes: dict, work: float, sw_h: float,
         heat_cold=heat_cold, tau=tau, thermal_weight_hot=sw_h,
         thermal_weight_cold=sw_c, eta=eta, power=power, kappa=kappa, cop=cop,
         regime=classify_regime(heat_hot, heat_cold, work),
-        ratio_rule_regime=_ratio_rule_regime(config),
         eta0=eta0, power0=power0, kappa0=kappa0, cop0=cop0,
         carnot_eta=carnot_eta, carnot_cop=carnot_cop,
         cyclicity_residual=abs(p_back - (1.0 - g_c) / 2.0),
@@ -262,38 +252,22 @@ def _assemble(config: CycleConfig, strokes: dict, work: float, sw_h: float,
 
 
 def weak_cycle(config: CycleConfig) -> CycleReport:
-    """Baseline cycle: weak coupling, both contacts assumed fully thermalizing."""
+    """Baseline cycle: weak coupling, both contacts fully thermalizing (sin^2 F = 1)."""
     config.validate(need_profiles=False)
     if config.tau <= 0.0:
         raise UndefinedPowerError("power is undefined for a cycle of zero total duration")
-    wc, wh = config.omega_c, config.omega_h
-    g_c, g_h = config.g_c, config.g_h
-
-    w_ab = (wc - wh) * g_c
-    q_h = wh * (g_c - g_h)
-    w_cd = (wh - wc) * g_h
-    q_c = wc * (g_h - g_c)
-
-    p_a = (1.0 - g_c) / 2.0
-    p_c = (1.0 - g_h) / 2.0
-    sigma_h = _binary_entropy(p_c) - _binary_entropy(p_a) - config.beta_h * q_h
-    sigma_c = _binary_entropy(p_a) - _binary_entropy(p_c) - config.beta_c * q_c
-
-    e_a, e_c = -wc * g_c, -wh * g_h
-    strokes = _stroke_ledgers(e_a, -wh * g_c, e_c, -wc * g_h, e_a,
-                              w_ab, w_cd, q_h, q_c, sigma_h, sigma_c)
-    return _assemble(config, strokes, (wc - wh) * (g_c - g_h), 1.0, 1.0, p_a)
-
-
-def _boundary_coupling(profile: CouplingProfile, t: float) -> np.ndarray:
-    # f diverges at t = 0+; the coupling cost is f * (pattern overlap) and the
-    # overlap vanishes at every boundary state, so any finite surrogate works
-    t_ref = max(t, ORACLE_T_START, profile.t_min)
-    return coupling_hamiltonian(profile.f(t_ref))
+    return _closed_form_cycle(config, 1.0, 1.0)
 
 
 def strong_cycle(config: CycleConfig) -> CycleReport:
-    """Strongly coupled cycle evaluated from the closed-form stroke scalars.
+    """Strongly coupled cycle evaluated from the closed-form stroke scalars."""
+    config.validate(need_profiles=True)
+    return _closed_form_cycle(config, config.profile_h.thermal_weight(config.tau_h),
+                              config.profile_c.thermal_weight(config.tau_c))
+
+
+def _closed_form_cycle(config: CycleConfig, sw_h: float, sw_c: float) -> CycleReport:
+    """The cycle whose hot and cold contacts have thermal weights sw_h and sw_c.
 
     Each contact starts from the product of a diagonal system state with a
     Gibbs bath qubit, so its entropy production is Delta S_S - beta Q
@@ -301,11 +275,8 @@ def strong_cycle(config: CycleConfig) -> CycleReport:
     every closed-form joint state has a purely imaginary exchange coherence
     rho[1,2], so the coupling costs 2 f Re rho[1,2] vanish exactly.
     """
-    config.validate(need_profiles=True)
     wc, wh = config.omega_c, config.omega_h
     g_c, g_h = config.g_c, config.g_h
-    sw_h = config.profile_h.thermal_weight(config.tau_h)
-    sw_c = config.profile_c.thermal_weight(config.tau_c)
     cw_h = 1.0 - sw_h
 
     p_a1 = (1.0 - g_c) / 2.0
@@ -326,15 +297,21 @@ def strong_cycle(config: CycleConfig) -> CycleReport:
     q_c = wc * (g_h - g_c) * sw_h * sw_c
 
     s_a1, s_c1 = _binary_entropy(p_a1), _binary_entropy(p_c1)
-    sigma_h = s_c1 - s_a1 - config.beta_h * q_h if config.tau_h > 0.0 else 0.0
-    sigma_c = (_binary_entropy(p_a0) - s_c1 - config.beta_c * q_c
-               if config.tau_c > 0.0 else 0.0)
+    sigma_h = s_c1 - s_a1 - config.beta_h * q_h if sw_h > 0.0 else 0.0
+    sigma_c = _binary_entropy(p_a0) - s_c1 - config.beta_c * q_c if sw_c > 0.0 else 0.0
 
     strokes = _stroke_ledgers(-wc * g_c, -wh * g_c, wh * (2.0 * p_c1 - 1.0),
                               wc * (2.0 * p_c1 - 1.0), wc * (2.0 * p_a0 - 1.0),
                               w_ab, w_cd, q_h, q_c, sigma_h, sigma_c,
                               (0.0, -0.0, 0.0, -0.0))
     return _assemble(config, strokes, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c, p_a0)
+
+
+def _boundary_coupling(profile: CouplingProfile, t: float) -> np.ndarray:
+    # f diverges at t = 0+; the coupling cost is f * (pattern overlap) and the
+    # overlap vanishes at every boundary state, so any finite surrogate works
+    t_ref = max(t, ORACLE_T_START, profile.t_min)
+    return coupling_hamiltonian(profile.f(t_ref))
 
 
 def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:

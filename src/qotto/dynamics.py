@@ -68,30 +68,6 @@ class QubitState:
         return np.array([[self.p, self.x], [np.conj(self.x), 1.0 - self.p]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BathSpec:
-    """Single-qubit bath: level splitting omega, inverse temperature beta."""
-
-    omega: float
-    beta: float
-    g: float | None = None
-
-    def __post_init__(self):
-        if self.omega <= 0.0:
-            raise ValueError(f"bath splitting omega must be positive, got {self.omega}")
-        if self.beta < 0.0:
-            raise ValueError(f"inverse temperature beta must be >= 0, got {self.beta}")
-        expected = math.tanh(self.beta * self.omega)
-        if self.g is None:
-            object.__setattr__(self, "g", expected)
-        elif abs(self.g - expected) > TOL.profile_g_match:
-            raise ValueError(
-                f"bath parameter g = {self.g} does not match tanh(beta*omega) = {expected}")
-
-    def thermal_matrix(self) -> np.ndarray:
-        return bath_thermal_matrix(self.g)
-
-
 def bath_thermal_matrix(g: float) -> np.ndarray:
     """diag((1-g)/2, (1+g)/2): thermal bath qubit with parameter g."""
     return np.diag([(1.0 - g) / 2.0, (1.0 + g) / 2.0]).astype(complex)

@@ -29,35 +29,13 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def require_hermitian(a: np.ndarray, tol: float = TOL.hermitian) -> np.ndarray:
-    """Validate A = A^dag entrywise within tol; returns the array."""
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate A = A^dag entrywise within TOL.hermitian; returns the array."""
     a = _as_square(a)
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
+    if dev > TOL.hermitian:
         raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
     return a
-
-
-def require_density(rho: np.ndarray, trace_tol: float = TOL.trace_one,
-                    psd_floor: float = TOL.psd_floor) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density operator."""
-    rho = require_hermitian(rho)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density operator trace is {tr:.12g}, expected 1")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < psd_floor:
-        raise ValueError(f"density operator has negative eigenvalue {evals.min():.3e}")
-    return rho
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 operators, system factor first."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"tensor_product expects 2x2 factors, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
 
 
 def partial_trace_bath(rho: np.ndarray) -> np.ndarray:
@@ -87,23 +65,3 @@ def matrix_exp_skewhermitian(h: np.ndarray, s: float) -> np.ndarray:
     """exp(-i * s * h) for Hermitian h, via eigendecomposition."""
     evals, evecs = hermitian_eig(h)
     return (evecs * np.exp(-1j * s * evals)) @ evecs.conj().T
-
-
-def hermitian_log(a: np.ndarray, eig_floor: float = TOL.entropy_eig_floor) -> np.ndarray:
-    """log(A) for a PSD Hermitian A, eigenvalues floored at eig_floor."""
-    evals, evecs = hermitian_eig(a)
-    floored = np.maximum(evals, eig_floor)
-    return (evecs * np.log(floored)) @ evecs.conj().T
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Row-major vectorization: (a00, a01, a10, a11) for a 2x2 operator."""
-    return np.asarray(a, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for a length-4 vector."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (4,):
-        raise ValueError(f"unvec expects a length-4 vector, got {v.shape}")
-    return v.reshape(2, 2)

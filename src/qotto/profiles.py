@@ -213,20 +213,20 @@ def rate_pair(profile: CouplingProfile, t: float) -> RatePair:
                     gamma_plus=(1.0 - profile.g) * gamma)
 
 
-def is_markovian(profile: CouplingProfile, horizon: float,
-                 grid: int = 2000) -> tuple[bool, float | None]:
+_MARKOVIAN_GRID = 2000
+
+
+def is_markovian(profile: CouplingProfile, horizon: float) -> tuple[bool, float | None]:
     """CP-divisibility check: gamma(t) >= rate floor on a uniform sampling grid.
 
     Returns (flag, first_violation_time); the time is None when the flag is
-    True. The default 2000-point grid resolves the 20 rad/time oscillation of
-    the non-Markovian correction on horizons of a few time units.
+    True. The 2000-point grid resolves the 20 rad/time oscillation of the
+    non-Markovian correction on horizons of a few time units.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if grid < 1:
-        raise ValueError(f"grid must be a positive integer, got {grid}")
     lo = profile.t_min
-    ts = lo + (horizon - lo) * np.arange(1, grid + 1) / grid
+    ts = lo + (horizon - lo) * np.arange(1, _MARKOVIAN_GRID + 1) / _MARKOVIAN_GRID
     for t in ts:
         if rate_gamma(profile, float(t)) < TOL.rate_floor:
             return False, float(t)

@@ -1,11 +1,49 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
-from qotto.cli import main, read_csv
+from qotto.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.fixture
+def warnings_as_errors():
+    """Fail the test on any warning, such as a numpy RuntimeWarning reaching a CLI user."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def read_csv(path):
+    """Re-parse an emitted CSV: (metadata, header, rows with floats restored)."""
+    metadata, header, rows = {}, None, []
+    with open(path, encoding="utf-8") as stream:
+        for line in stream:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                if "=" in line:
+                    key, _, value = line[1:].partition("=")
+                    metadata[key.strip()] = value.strip()
+                continue
+            cells = line.split(",")
+            if header is None:
+                header = cells
+                continue
+            parsed = []
+            for cell in cells:
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    parsed.append(cell)
+            rows.append(parsed)
+    return metadata, header, rows
 
 
 def column(header, rows, name):
@@ -183,6 +221,21 @@ class TestCycleCommand:
     def test_missing_config_file_is_runtime_error(self, tmp_path):
         assert run(["cycle", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_summary_reports_the_sign_based_regime_only(self, tmp_path, capsys):
+        assert run(["cycle", "--out", str(tmp_path / "c.csv")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "regime: engine"
+
+    @pytest.mark.parametrize("text, kind", [("5", "int"), ("null", "NoneType"),
+                                            ('"abc"', "str"), ("[1, 2]", "list")])
+    def test_non_object_config_is_config_error(self, text, kind, tmp_path, capsys,
+                                               warnings_as_errors):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        assert run(["cycle", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"config file must hold a JSON object, got {kind}" in err
+        assert "unknown config key" not in err
+
 
 class TestSweep:
     def test_cop_monotone_toward_baseline(self, tmp_path):
@@ -302,6 +355,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and f"{field} must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--t-max", "nan"], ["dynamics", "--t-max", "inf"],
+        ["witness", "--t-max", "nan"], ["witness", "--t-max", "inf"],
+        ["sweep", "--sweep", "tau_h:nan:1:3"], ["sweep", "--sweep", "tau_h:0:inf:3"],
+    ], ids=" ".join)
+    def test_non_finite_numbers_are_config_errors(self, argv, tmp_path, capsys,
+                                                  warnings_as_errors):
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and argv[1] in err and "finite" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_mistyped_config_values_are_listed(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"omega_c": "abc", "tau_h": None, "beta_h": True,
@@ -316,3 +381,23 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "qotto" in proc.stdout
+
+
+def _readme_examples() -> list[list[str]]:
+    """argv of every ``qotto <command> ...`` line in the README's shell blocks."""
+    return [shlex.split(line, comments=True)[1:]
+            for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("qotto ") and "<command>" not in line]
+
+
+class TestReadmeExamples:
+    def test_cover_every_command(self):
+        assert {argv[0] for argv in _readme_examples()} == {"dynamics", "witness",
+                                                            "cycle", "sweep"}
+
+    @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+    def test_runs_without_warnings(self, argv, tmp_path, monkeypatch, capsys,
+                                   warnings_as_errors):
+        monkeypatch.setenv("QOTTO_OUT_DIR", str(tmp_path))
+        assert run(argv) == 0
+        assert list(tmp_path.iterdir())

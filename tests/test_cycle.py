@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -244,21 +245,21 @@ class TestStrongCycle:
         assert max(gaps) > 0.0
 
 
-def _audit_sigmas(config: CycleConfig) -> list:
-    """Contact entropy productions as relative entropies of the 4x4 closed-form states;
-    None where the contact has zero length or the audit route itself raises."""
-    cw_h = 1.0 - config.profile_h.thermal_weight(config.tau_h)
+def _audit_sigmas(config: CycleConfig, phase_h: float, phase_c: float) -> list:
+    """Contact entropy productions as relative entropies of the 4x4 closed-form states
+    at contact phases phase_h and phase_c; None where a phase is zero or the audit
+    route itself raises."""
+    cw_h = 1.0 - math.sin(phase_h) ** 2
     p_c1 = (1.0 - config.g_h) / 2.0 + 0.5 * cw_h * (config.g_h - config.g_c)
     out = []
-    for p_in, profile, omega, beta, tau in (
-            ((1.0 - config.g_c) / 2.0, config.profile_h, config.omega_h, config.beta_h,
-             config.tau_h),
-            (p_c1, config.profile_c, config.omega_c, config.beta_c, config.tau_c)):
+    for p_in, g, omega, beta, tau, phase in (
+            ((1.0 - config.g_c) / 2.0, config.g_h, config.omega_h, config.beta_h,
+             config.tau_h, phase_h),
+            (p_c1, config.g_c, config.omega_c, config.beta_c, config.tau_c, phase_c)):
         try:
-            rho = joint_state_closed_form(QubitState(p=p_in), profile.g, omega,
-                                          profile.phase(tau), tau)
+            rho = joint_state_closed_form(QubitState(p=p_in), g, omega, phase, tau)
             out.append(thermo.entropy_production(rho, beta, omega * linalg.SIGMA_Z)
-                       if tau > 0.0 else None)
+                       if phase != 0.0 else None)
         except QottoError:
             out.append(None)
     return out
@@ -311,8 +312,23 @@ class TestScalarRoute:
             assert report.eta == pytest.approx(report.eta0, rel=0.0, abs=1e-9)
         sigmas = (report.strokes["hot_contact"].entropy_production,
                   report.strokes["cold_contact"].entropy_production)
-        for sigma, audit in zip(sigmas, _audit_sigmas(config)):
+        phases = (config.profile_h.phase(config.tau_h), config.profile_c.phase(config.tau_c))
+        for sigma, audit in zip(sigmas, _audit_sigmas(config, *phases)):
             if audit is not None:
+                assert sigma == pytest.approx(audit, rel=0.0, abs=1e-9)
+
+    def test_weak_cycle_matches_audit_route(self):
+        # the weak cycle is the closed form at F = pi/2, a zero-length hot
+        # contact included: its entropy productions are the full-thermalization ones
+        rng = np.random.default_rng(37)
+        for k in range(60):
+            config = random_config(rng)
+            if k % 3 == 0:
+                config = replace(config, tau_h=0.0)
+            report = weak_cycle(config)
+            sigmas = (report.strokes["hot_contact"].entropy_production,
+                      report.strokes["cold_contact"].entropy_production)
+            for sigma, audit in zip(sigmas, _audit_sigmas(config, math.pi / 2, math.pi / 2)):
                 assert sigma == pytest.approx(audit, rel=0.0, abs=1e-9)
 
 
@@ -342,10 +358,6 @@ class TestClassification:
         assert classify_regime(-1.0, 0.5, 0.5) == "refrigerator"
         assert classify_regime(0.0, 0.0, 0.0) == "other"
         assert classify_regime(1.0, 0.5, -1.5) == "other"
-
-    def test_ratio_rule_is_surfaced(self):
-        report = weak_cycle(build_config(**ENGINE, tau_h=1.0, tau_c=1.0))
-        assert report.ratio_rule_regime in ("engine", "refrigerator", "other")
 
 
 class TestApplyAxis:

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from qotto import linalg
 from qotto.linalg import (IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                          hermitian_eig, hermitian_log, matrix_exp_skewhermitian,
-                          partial_trace_bath, partial_trace_system,
-                          require_density, tensor_product, unvec, vec)
+                          hermitian_eig, matrix_exp_skewhermitian,
+                          partial_trace_bath, partial_trace_system)
 from qotto.tolerances import TOL
 
 
@@ -22,30 +20,17 @@ def random_hermitian(rng, dim):
 
 class TestTensorProduct:
     def test_identity(self):
-        assert np.array_equal(tensor_product(IDENTITY_2, IDENTITY_2), IDENTITY_4)
+        assert np.array_equal(np.kron(IDENTITY_2, IDENTITY_2), IDENTITY_4)
 
     def test_free_hamiltonian_is_diagonal(self):
-        h = tensor_product(SIGMA_Z, IDENTITY_2) + tensor_product(IDENTITY_2, SIGMA_Z)
+        h = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
         assert np.allclose(h, np.diag([2.0, 0.0, 0.0, -2.0]), atol=1e-15)
 
     def test_exchange_coupling_pattern(self):
-        h = (tensor_product(SIGMA_X, SIGMA_X) + tensor_product(SIGMA_Y, SIGMA_Y)) / 2
+        h = (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)) / 2
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 2] = expected[2, 1] = 1.0
         assert np.allclose(h, expected, atol=1e-15)
-
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            tensor_product(IDENTITY_4, IDENTITY_2)
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                          for _ in range(4))
-            lhs = tensor_product(a, b) @ tensor_product(c, d)
-            rhs = tensor_product(a @ c, b @ d)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestPartialTrace:
@@ -132,29 +117,3 @@ class TestMatrixExp:
             h = random_hermitian(rng, 4)
             u = matrix_exp_skewhermitian(h, rng.uniform(-3.0, 3.0))
             assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) <= TOL.unitarity
-
-
-class TestValidationAndVec:
-    def test_require_density_accepts_valid(self):
-        rng = np.random.default_rng(37)
-        require_density(random_density(rng, 4))
-
-    def test_require_density_rejects_traceless(self):
-        with pytest.raises(ValueError):
-            require_density(np.zeros((2, 2)))
-
-    def test_require_density_rejects_negative(self):
-        with pytest.raises(ValueError):
-            require_density(np.diag([1.5, -0.5]))
-
-    def test_vec_round_trip(self):
-        m = np.arange(4).reshape(2, 2).astype(complex)
-        assert np.array_equal(vec(m), np.array([0, 1, 2, 3], dtype=complex))
-        assert np.array_equal(unvec(vec(m)), m)
-
-    def test_hermitian_log_inverts_exp(self):
-        rng = np.random.default_rng(41)
-        rho = random_density(rng, 2)
-        w, v = np.linalg.eigh(hermitian_log(rho))
-        back = (v * np.exp(w)) @ v.conj().T
-        assert np.max(np.abs(back - rho)) <= 1e-10
