@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from operator import attrgetter
 
 import numpy as np
 
@@ -95,21 +96,23 @@ _DEFAULT_CONFIG = {
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
-    out = {}
+    out, problems = {}, []
     for pair in pairs:
         key, sep, value = pair.partition("=")
-        if not sep:
-            raise ConfigError([f"--set expects key=value, got '{pair}'"])
         key = key.strip()
-        if key in NUMERIC_FIELDS:
+        if not sep:
+            problems.append(f"--set expects key=value, got '{pair}'")
+        elif key in NUMERIC_FIELDS:
             try:
                 out[key] = float(value)
             except ValueError:
-                raise ConfigError([f"{key} must be numeric, got '{value}'"])
+                out[key] = value  # as text, for the validator to name
         elif key in _PROFILE_KEYS:
             out[key] = value.strip()
         else:
-            raise ConfigError([f"unknown config key '{key}'"])
+            problems.append(f"unknown config key '{key}'")
+    if problems:
+        raise ConfigError(problems)
     return out
 
 
@@ -126,24 +129,9 @@ def load_cycle_config(path: str | None, overrides: dict) -> tuple[CycleConfig, d
             raise ConfigError([f"unknown config key '{k}'" for k in sorted(unknown)])
         raw.update(data)
     raw.update(overrides)
-    problems = []
-    for key in NUMERIC_FIELDS:
-        value = raw[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{key} must be a number, got {value!r}")
-        elif not math.isfinite(value):
-            problems.append(f"{key} must be finite, got {value}")
-    problems += [f"{key} must be a string, got {raw[key]!r}"
-                 for key in _PROFILE_KEYS if not isinstance(raw[key], str)]
-    if problems:
-        raise ConfigError(problems)
     config = build_config(**{key: raw[key] for key in NUMERIC_FIELDS},
                           kind_h=raw["profile_h"], kind_c=raw["profile_c"])
-    return config, raw
-
-
-def _config_metadata(raw: dict) -> dict:
-    return {f"config.{key}": raw[key] for key in sorted(raw)}
+    return config, {f"config.{key}": raw[key] for key in sorted(raw)}
 
 
 # --- commands ----------------------------------------------------------------
@@ -233,8 +221,7 @@ def _stroke_rows(report: CycleReport, oracle: CycleReport | None) -> tuple[list,
     return header, rows
 
 
-def _summary(report: CycleReport, oracle_dev: float | None) -> str:
-    audits = report.law_audits()
+def _summary(report: CycleReport, audits: dict, oracle_dev: float | None) -> str:
     lines = [
         f"regime: {report.regime}",
         f"W = {report.work_total:.10g}   Q_h = {report.heat_hot:.10g}   "
@@ -262,13 +249,13 @@ def _summary(report: CycleReport, oracle_dev: float | None) -> str:
 
 def run_cycle(args) -> int:
     """One strongly coupled cycle: per-stroke CSV plus human-readable summary."""
-    config, raw = load_cycle_config(args.config, _parse_overrides(args.set))
+    config, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
     report = strong_cycle(config)
     oracle = strong_cycle_via_oracle(config) if args.oracle else None
     oracle_dev = max_energy_deviation(report, oracle) if oracle is not None else None
 
     header, rows = _stroke_rows(report, oracle)
-    meta = {"command": "cycle", "seed": args.seed, **_config_metadata(raw)}
+    meta = {"command": "cycle", "seed": args.seed, **config_meta}
     for profile, name in ((config.profile_h, "profile_h"), (config.profile_c, "profile_c")):
         if getattr(profile, "head_phase_approximated", False):
             meta[f"{name}.head_phase_approximated"] = True
@@ -277,10 +264,10 @@ def run_cycle(args) -> int:
     out = _resolve_out(args.out)
     _write_csv(out, header, rows, meta)
 
-    summary = _summary(report, oracle_dev)
-    print(summary, file=sys.stderr if out is None else sys.stdout)
+    audits = report.law_audits()
+    print(_summary(report, audits, oracle_dev), file=sys.stderr if out is None else sys.stdout)
 
-    failed = [name for name, (_, ok) in report.law_audits().items() if not ok]
+    failed = [name for name, (_, ok) in audits.items() if not ok]
     if oracle_dev is not None and oracle_dev > TOL.oracle_cycle_match:
         failed.append("oracle_match")
     if failed:
@@ -289,21 +276,17 @@ def run_cycle(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_METRICS = ["work", "heat_hot", "heat_cold", "eta", "power", "kappa", "cop",
-                  "eta0", "power0", "kappa0", "cop0", "carnot_eta", "carnot_cop",
-                  "thermal_weight_hot", "thermal_weight_cold",
-                  "w_connect_hot", "w_disconnect_hot", "w_connect_cold",
-                  "w_disconnect_cold", "cyclicity_residual", "energy_residual"]
-
-
-def _metric_row(report: CycleReport) -> list:
-    bw = report.boundary_works()
-    return [report.work_total, report.heat_hot, report.heat_cold, report.eta,
-            report.power, report.kappa, report.cop, report.eta0, report.power0,
-            report.kappa0, report.cop0, report.carnot_eta, report.carnot_cop,
-            report.thermal_weight_hot, report.thermal_weight_cold,
-            bw["connect_hot"], bw["disconnect_hot"], bw["connect_cold"],
-            bw["disconnect_cold"], report.cyclicity_residual, report.energy_residual]
+# sweep metric columns in CSV order, each with the report value it holds
+_SWEEP_METRICS = (
+    ("work", attrgetter("work_total")),
+    *((name, attrgetter(name)) for name in (
+        "heat_hot", "heat_cold", "eta", "power", "kappa", "cop", "eta0", "power0", "kappa0",
+        "cop0", "carnot_eta", "carnot_cop", "thermal_weight_hot", "thermal_weight_cold")),
+    *((f"w_{stroke}", lambda report, stroke=stroke: report.strokes[stroke].work)
+      for stroke in ("connect_hot", "disconnect_hot", "connect_cold", "disconnect_cold")),
+    ("cyclicity_residual", attrgetter("cyclicity_residual")),
+    ("energy_residual", attrgetter("energy_residual")),
+)
 
 
 def run_sweep(args) -> int:
@@ -325,21 +308,21 @@ def run_sweep(args) -> int:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError([f"--sweep bounds must be finite, got '{args.sweep}'"])
 
-    base, raw = load_cycle_config(args.config, _parse_overrides(args.set))
+    base, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
     values = np.linspace(lo, hi, count)
-    header = ["index", axis, "valid", "regime"] + _SWEEP_METRICS + ["error"]
+    header = ["index", axis, "valid", "regime"] + [name for name, _ in _SWEEP_METRICS] + ["error"]
     rows = []
     for index, value in enumerate(values):
         try:
             config = apply_axis(base, axis, float(value))
             report = strong_cycle(config)
             rows.append([index, float(value), 1, report.regime]
-                        + _metric_row(report) + [""])
+                        + [metric(report) for _, metric in _SWEEP_METRICS] + [""])
         except (ConfigError, ValueError, QottoError) as exc:
             rows.append([index, float(value), 0, "skipped"]
                         + [math.nan] * len(_SWEEP_METRICS) + [str(exc)])
     meta = {"command": "sweep", "axis": axis, "lo": lo, "hi": hi, "count": count,
-            "seed": args.seed, **_config_metadata(raw)}
+            "seed": args.seed, **config_meta}
     _write_csv(_resolve_out(args.out), header, rows, meta)
     return EXIT_OK
 

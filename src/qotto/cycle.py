@@ -19,6 +19,7 @@ report carries the residual instead of silently assuming closure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,17 @@ STROKE_ORDER = ("quench_up", "connect_hot", "hot_contact", "disconnect_hot",
                 "quench_down", "connect_cold", "cold_contact", "disconnect_cold")
 NUMERIC_FIELDS = ("omega_c", "omega_h", "beta_c", "beta_h",
                   "tau_u1", "tau_h", "tau_u2", "tau_c")
+_HOT_SPEC = object()  # build_config's default kind_c: the same spec as kind_h
+
+
+def _number_problem(name: str, value) -> str | None:
+    """Why ``value`` is not a finite number in float range, or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{name} must be a number, got {value!r}"
+    try:
+        return None if math.isfinite(value) else f"{name} must be finite, got {value}"
+    except OverflowError:
+        return f"{name} must be a number, got an int too large for a float"
 
 
 @dataclass(frozen=True)
@@ -66,27 +78,37 @@ class CycleConfig:
         return self.tau_u1 + self.tau_h + self.tau_u2 + self.tau_c
 
     def problems(self, need_profiles: bool = False) -> list[str]:
-        """Every constraint violation, one message per offending field."""
-        out = [f"{name} must be finite, got {getattr(self, name)}"
-               for name in NUMERIC_FIELDS if not math.isfinite(getattr(self, name))]
-        if out:
-            return out
-        if not self.omega_c > 0.0:
-            out.append(f"omega_c must be > 0, got {self.omega_c}")
-        if not self.omega_h > 0.0:
-            out.append(f"omega_h must be > 0, got {self.omega_h}")
-        elif not self.omega_h > self.omega_c:
-            out.append(f"omega_h must exceed omega_c, got {self.omega_h} <= {self.omega_c}")
-        if self.beta_h < 0.0:
-            out.append(f"beta_h must be >= 0, got {self.beta_h}")
-        if not self.beta_c > self.beta_h:
-            out.append(f"beta_c must exceed beta_h, got {self.beta_c} <= {self.beta_h}")
-        for name in ("tau_u1", "tau_h", "tau_u2", "tau_c"):
-            if getattr(self, name) < 0.0:
-                out.append(f"{name} must be >= 0, got {getattr(self, name)}")
+        """Every constraint violation, one message per offending field: the only validator
+        of cycle inputs. A field that is not a finite number joins no range rule."""
+        values, out = [], []
+        for name in NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if not (type(value) is float and math.isfinite(value)):  # else the common case
+                fault = _number_problem(name, value)
+                if fault:
+                    out.append(fault)
+                    value = math.nan  # fails every rule below
+            values.append(value)
+        omega_c, omega_h, beta_c, beta_h, *durations = values
+        if omega_c <= 0.0:
+            out.append(f"omega_c must be > 0, got {omega_c}")
+        if omega_h <= 0.0:
+            out.append(f"omega_h must be > 0, got {omega_h}")
+        elif omega_h <= omega_c:
+            out.append(f"omega_h must exceed omega_c, got {omega_h} <= {omega_c}")
+        if beta_h < 0.0:
+            out.append(f"beta_h must be >= 0, got {beta_h}")
+        if beta_c <= beta_h:
+            out.append(f"beta_c must exceed beta_h, got {beta_c} <= {beta_h}")
+        for name, tau in zip(NUMERIC_FIELDS[4:], durations):
+            if tau < 0.0:
+                out.append(f"{name} must be >= 0, got {tau}")
+        if math.isinf(sum(durations)):
+            out.append("the total duration tau_u1 + tau_h + tau_u2 + tau_c must be "
+                       f"finite, got {sum(durations)}")
         if need_profiles:
-            for name, profile, g in (("profile_h", self.profile_h, self.g_h),
-                                     ("profile_c", self.profile_c, self.g_c)):
+            for name, profile, g in (("profile_h", self.profile_h, math.tanh(beta_h * omega_h)),
+                                     ("profile_c", self.profile_c, math.tanh(beta_c * omega_c))):
                 if profile is None:
                     out.append(f"{name} is required for the strongly coupled cycle")
                 elif abs(profile.g - g) > TOL.profile_g_match:
@@ -99,22 +121,32 @@ class CycleConfig:
             raise ConfigError(problems)
 
 
+def _require_fields(config: CycleConfig, *more: str) -> None:
+    """Raise the field faults of a config about to get profiles, and ``more``, together."""
+    problems = config.problems()
+    if not problems and config.g_h <= 0.0:
+        problems.append("beta_h must be > 0 so that the hot profile has g > 0")
+    if problems or more:
+        raise ConfigError(problems + list(more))
+
+
 def build_config(omega_c: float, omega_h: float, beta_c: float, beta_h: float,
                  tau_h: float, tau_c: float, tau_u1: float = 0.0, tau_u2: float = 0.0,
-                 kind_h: str = "markovian", kind_c: str | None = None) -> CycleConfig:
+                 kind_h: str = "markovian", kind_c: str = _HOT_SPEC) -> CycleConfig:
     """Config whose profiles are built from the specs ``kind_h`` and ``kind_c``.
 
     Each spec is markovian, nonmarkovian or tabulated:PATH; ``kind_c``
-    defaults to ``kind_h``, and each profile's g is tanh(beta * omega) of its bath.
+    defaults to ``kind_h``, and each profile's g is tanh(beta * omega) of its
+    bath. Field faults and non-string specs raise one ConfigError first.
     """
-    g_h = math.tanh(beta_h * omega_h)
-    if g_h <= 0.0:
-        raise ConfigError(["beta_h must be > 0 so that the hot profile has g > 0"])
-    return CycleConfig(omega_c=omega_c, omega_h=omega_h, beta_c=beta_c, beta_h=beta_h,
-                       tau_h=tau_h, tau_c=tau_c, tau_u1=tau_u1, tau_u2=tau_u2,
-                       profile_h=profile_from_spec(kind_h, g_h),
-                       profile_c=profile_from_spec(kind_h if kind_c is None else kind_c,
-                                                   math.tanh(beta_c * omega_c)))
+    kind_c = kind_h if kind_c is _HOT_SPEC else kind_c
+    config = CycleConfig(omega_c=omega_c, omega_h=omega_h, beta_c=beta_c, beta_h=beta_h,
+                         tau_h=tau_h, tau_c=tau_c, tau_u1=tau_u1, tau_u2=tau_u2)
+    _require_fields(config, *(f"{name} must be a string, got {kind!r}"
+                              for name, kind in (("profile_h", kind_h), ("profile_c", kind_c))
+                              if not isinstance(kind, str)))
+    return replace(config, profile_h=profile_from_spec(kind_h, config.g_h),
+                   profile_c=profile_from_spec(kind_c, config.g_c))
 
 
 @dataclass(frozen=True)
@@ -207,15 +239,6 @@ def _stroke_ledgers(e_a1: float, e_b: float, e_c1: float, e_d: float, e_a0: floa
     }
 
 
-def _metrics(work: float, heat_hot: float, heat_cold: float,
-             tau: float) -> tuple[float, float, float, float]:
-    eta = -work / heat_hot if heat_hot != 0.0 else math.nan
-    cop = heat_cold / work if work != 0.0 else math.nan
-    power = -work / tau if tau > 0.0 else math.nan
-    kappa = heat_cold / tau if tau > 0.0 else math.nan
-    return eta, power, kappa, cop
-
-
 def _assemble(config: CycleConfig, strokes: dict, work: float, sw_h: float,
               sw_c: float, p_back: float) -> CycleReport:
     """Report from the stroke ledgers and the net work ``work``.
@@ -226,15 +249,14 @@ def _assemble(config: CycleConfig, strokes: dict, work: float, sw_h: float,
     heat_hot = strokes["hot_contact"].heat
     heat_cold = strokes["cold_contact"].heat
     tau = config.tau
-    eta, power, kappa, cop = _metrics(work, heat_hot, heat_cold, tau)
+
+    def per_time(x: float) -> float:
+        return x / tau if tau > 0.0 else math.nan
 
     g_c, g_h = config.g_c, config.g_h
     w0 = (config.omega_c - config.omega_h) * (g_c - g_h)
-    qh0 = config.omega_h * (g_c - g_h)
     qc0 = config.omega_c * (g_h - g_c)
     eta0 = 1.0 - config.omega_c / config.omega_h
-    power0 = -w0 / tau if tau > 0.0 else math.nan
-    kappa0 = qc0 / tau if tau > 0.0 else math.nan
     cop0 = config.omega_c / (config.omega_h - config.omega_c)
     carnot_eta = 1.0 - config.beta_h / config.beta_c
     carnot_cop = (config.beta_h / (config.beta_c - config.beta_h)
@@ -243,9 +265,11 @@ def _assemble(config: CycleConfig, strokes: dict, work: float, sw_h: float,
     return CycleReport(
         config=config, strokes=strokes, work_total=work, heat_hot=heat_hot,
         heat_cold=heat_cold, tau=tau, thermal_weight_hot=sw_h,
-        thermal_weight_cold=sw_c, eta=eta, power=power, kappa=kappa, cop=cop,
+        thermal_weight_cold=sw_c, eta=-work / heat_hot if heat_hot != 0.0 else math.nan,
+        power=per_time(-work), kappa=per_time(heat_cold),
+        cop=heat_cold / work if work != 0.0 else math.nan,
         regime=classify_regime(heat_hot, heat_cold, work),
-        eta0=eta0, power0=power0, kappa0=kappa0, cop0=cop0,
+        eta0=eta0, power0=per_time(-w0), kappa0=per_time(qc0), cop0=cop0,
         carnot_eta=carnot_eta, carnot_cop=carnot_cop,
         cyclicity_residual=abs(p_back - (1.0 - g_c) / 2.0),
         energy_residual=work + heat_hot + heat_cold)
@@ -266,6 +290,11 @@ def strong_cycle(config: CycleConfig) -> CycleReport:
                               config.profile_c.thermal_weight(config.tau_c))
 
 
+def _post_hot_population(g_h: float, g_c: float, sw_h: float) -> float:
+    """System population after a hot contact of thermal weight sw_h from (1 - g_c)/2."""
+    return (1.0 - g_h) / 2.0 + 0.5 * (1.0 - sw_h) * (g_h - g_c)
+
+
 def _closed_form_cycle(config: CycleConfig, sw_h: float, sw_c: float) -> CycleReport:
     """The cycle whose hot and cold contacts have thermal weights sw_h and sw_c.
 
@@ -277,23 +306,18 @@ def _closed_form_cycle(config: CycleConfig, sw_h: float, sw_c: float) -> CycleRe
     """
     wc, wh = config.omega_c, config.omega_h
     g_c, g_h = config.g_c, config.g_h
-    cw_h = 1.0 - sw_h
 
     p_a1 = (1.0 - g_c) / 2.0
-    p_c1 = (1.0 - g_h) / 2.0 + 0.5 * cw_h * (g_h - g_c)
+    p_c1 = _post_hot_population(g_h, g_c, sw_h)
     p_a0 = p_c1 * (1.0 - sw_c) + (1.0 - g_c) / 2.0 * sw_c
-    # a contact started from population p with bath parameter g has the joint
-    # spectrum {(1 +/- g)/2 p, (1 +/- g)/2 (1 - p)}: a density operator
-    # exactly when g and p lie in [0, 1]
-    for g in (g_h, g_c):
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"bath parameter g must lie in [0, 1], got {g}")
+    # a contact from population p with bath parameter g in [0, 1] (as in any valid config)
+    # has the joint spectrum {(1 +/- g)/2 p, (1 +/- g)/2 (1 - p)}: a state iff p is in [0, 1]
     for p in (p_a1, p_c1, p_a0):
         QubitState(p=p)
 
     w_ab = (wc - wh) * g_c
     q_h = wh * (g_c - g_h) * sw_h
-    w_cd = (wh - wc) * (g_h - cw_h * (g_h - g_c))
+    w_cd = (wh - wc) * (g_h - (1.0 - sw_h) * (g_h - g_c))
     q_c = wc * (g_h - g_c) * sw_h * sw_c
 
     s_a1, s_c1 = _binary_entropy(p_a1), _binary_entropy(p_c1)
@@ -386,17 +410,15 @@ def stroke_entropy_production_trace(config: CycleConfig, stroke: str,
                                     n_points: int = 100) -> np.ndarray:
     """Entropy production sampled along one thermal contact, from the closed form."""
     config.validate(need_profiles=True)
-    if stroke not in ("hot", "cold"):
-        raise ValueError(f"stroke must be 'hot' or 'cold', got {stroke!r}")
     if stroke == "hot":
         p_in = (1.0 - config.g_c) / 2.0
-        profile, omega, beta, tau = (config.profile_h, config.omega_h,
-                                     config.beta_h, config.tau_h)
+        profile, omega, beta, tau = config.profile_h, config.omega_h, config.beta_h, config.tau_h
+    elif stroke == "cold":
+        p_in = _post_hot_population(config.g_h, config.g_c,
+                                    config.profile_h.thermal_weight(config.tau_h))
+        profile, omega, beta, tau = config.profile_c, config.omega_c, config.beta_c, config.tau_c
     else:
-        cw_h = 1.0 - config.profile_h.thermal_weight(config.tau_h)
-        p_in = (1.0 - config.g_h) / 2.0 + 0.5 * cw_h * (config.g_h - config.g_c)
-        profile, omega, beta, tau = (config.profile_c, config.omega_c,
-                                     config.beta_c, config.tau_c)
+        raise ValueError(f"stroke must be 'hot' or 'cold', got {stroke!r}")
     if tau <= 0.0:
         raise ValueError(f"{stroke} contact has zero duration")
     times = tau * np.arange(1, n_points + 1) / n_points
@@ -413,27 +435,22 @@ def apply_axis(config: CycleConfig, axis: str, value: float) -> CycleConfig:
     """Sweepable copy of a config with one parameter replaced.
 
     Changing a frequency or temperature rebuilds the matching profile with
-    the implied g; changing g_h or g_c adjusts the corresponding beta.
+    the implied g; changing g_h or g_c adjusts the corresponding beta. The
+    copy is validated before its profile is rebuilt.
     """
     if axis in ("tau_h", "tau_c", "tau_u1", "tau_u2"):
         return replace(config, **{axis: value})
+    bath = axis[-1]  # h or c, the bath whose g changes
     if axis in ("omega_c", "omega_h", "beta_c", "beta_h"):
         cfg = replace(config, **{axis: value})
     elif axis in ("g_h", "g_c"):
         if not 0.0 < value < 1.0:
             raise ConfigError([f"{axis} must lie in (0, 1), got {value}"])
-        if axis == "g_h":
-            cfg = replace(config, beta_h=math.atanh(value) / config.omega_h)
-        else:
-            cfg = replace(config, beta_c=math.atanh(value) / config.omega_c)
+        omega = getattr(config, f"omega_{bath}")
+        cfg = replace(config, **{f"beta_{bath}": math.atanh(value) / omega})
     else:
         raise ConfigError([f"unknown sweep axis '{axis}'"])
-    return _rebuild_profiles(cfg)
-
-
-def _rebuild_profiles(config: CycleConfig) -> CycleConfig:
-    def rebuilt(profile, g):
-        return None if profile is None else replace(profile, g=g)
-    return replace(config,
-                   profile_h=rebuilt(config.profile_h, config.g_h),
-                   profile_c=rebuilt(config.profile_c, config.g_c))
+    _require_fields(cfg)
+    profile = getattr(cfg, f"profile_{bath}")
+    return cfg if profile is None else replace(
+        cfg, **{f"profile_{bath}": replace(profile, g=getattr(cfg, f"g_{bath}"))})

@@ -22,7 +22,7 @@ class SupportViolationError(QottoError, ValueError):
 
 
 class ConfigError(QottoError, ValueError):
-    """Invalid cycle or run configuration; ``fields`` lists every offending entry."""
+    """Invalid cycle or run configuration; ``problems`` lists every offending entry."""
 
     def __init__(self, problems):
         self.problems = list(problems)

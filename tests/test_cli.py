@@ -1,24 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qotto.cli import main
+from qotto.cli import load_cycle_config, main
+from qotto.cycle import NUMERIC_FIELDS, strong_cycle
+from qotto.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-@pytest.fixture
-def warnings_as_errors():
-    """Fail the test on any warning, such as a numpy RuntimeWarning reaching a CLI user."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
 
 
 def read_csv(path):
@@ -227,8 +224,7 @@ class TestCycleCommand:
 
     @pytest.mark.parametrize("text, kind", [("5", "int"), ("null", "NoneType"),
                                             ('"abc"', "str"), ("[1, 2]", "list")])
-    def test_non_object_config_is_config_error(self, text, kind, tmp_path, capsys,
-                                               warnings_as_errors):
+    def test_non_object_config_is_config_error(self, text, kind, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)
         assert run(["cycle", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
@@ -360,8 +356,7 @@ class TestExitCodes:
         ["witness", "--t-max", "nan"], ["witness", "--t-max", "inf"],
         ["sweep", "--sweep", "tau_h:nan:1:3"], ["sweep", "--sweep", "tau_h:0:inf:3"],
     ], ids=" ".join)
-    def test_non_finite_numbers_are_config_errors(self, argv, tmp_path, capsys,
-                                                  warnings_as_errors):
+    def test_non_finite_numbers_are_config_errors(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and argv[1] in err and "finite" in err
@@ -383,6 +378,137 @@ class TestExitCodes:
         assert "qotto" in proc.stdout
 
 
+_SET_FAULTS = [
+    (["beta_c=-1"], "beta_c must exceed beta_h, got -1.0 <= 0.2"),
+    (["omega_c=-1", "beta_h=-1"],
+     "omega_c must be > 0, got -1.0; beta_h must be >= 0, got -1.0"),
+    (["omega_c=abc", "tau_h=xyz"],
+     "omega_c must be a number, got 'abc'; tau_h must be a number, got 'xyz'"),
+    (["tau_h=1e308", "tau_c=1e308"],
+     "the total duration tau_u1 + tau_h + tau_u2 + tau_c must be finite, got inf"),
+    (["tau_h=nan"], "tau_h must be finite, got nan"),
+    (["beta_h=0"], "beta_h must be > 0 so that the hot profile has g > 0"),
+    (["tau_h"], "--set expects key=value, got 'tau_h'"),
+    (["tau_h", "volume=2", "omega_c=1"],
+     "--set expects key=value, got 'tau_h'; unknown config key 'volume'"),
+]
+
+
+class TestConfigFaults:
+    """Every config fault exits 1 with one line that names each offending field."""
+
+    @pytest.mark.parametrize("sets, message", _SET_FAULTS,
+                             ids=[" ".join(sets) for sets, _ in _SET_FAULTS])
+    def test_set_faults(self, sets, message, tmp_path, capsys):
+        argv = ["cycle"] + [arg for pair in sets for arg in ("--set", pair)]
+        assert run(argv + ["--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"tau_h": 1' + "0" * 400 + "}",
+         "tau_h must be a number, got an int too large for a float"),
+        ('{"volume": 2, "beta": 1}', "unknown config key 'beta'; unknown config key 'volume'"),
+        ('{"omega_c": "abc", "tau_c": null, "profile_c": 1}',
+         "omega_c must be a number, got 'abc'; tau_c must be a number, got None; "
+         "profile_c must be a string, got 1"),
+    ], ids=["int-beyond-float", "unknown-keys", "mistyped"])
+    def test_config_file_faults(self, text, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run(["cycle", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_invalid_sweep_rows_carry_the_field_message(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--sweep", "beta_c:-1:1:3", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert column(header, rows, "valid") == [0, 0, 1]
+        for error in column(header, rows, "error")[:2]:
+            assert error.startswith("beta_c must exceed beta_h")
+
+
+# a numeric config value: valid, out of range, not finite, not a number, or a
+# duration large enough that two of them overflow the cycle time
+_VALUES = st.one_of(st.floats(0.1, 5.0), st.sampled_from(
+    [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 10**400, True, None, "abc", ""]))
+_RAW_CONFIGS = st.fixed_dictionaries(
+    {}, optional={**{key: _VALUES for key in NUMERIC_FIELDS},
+                  "profile_h": st.sampled_from(["markovian", 1, None]),
+                  "profile_c": st.sampled_from(["markovian", 1, None])})
+_DEFAULTS = {"omega_c": 1.0, "omega_h": 2.0, "beta_c": 1.0, "beta_h": 0.2,
+             "tau_u1": 0.0, "tau_h": 2.0, "tau_u2": 0.0, "tau_c": 2.0,
+             "profile_h": "markovian", "profile_c": "markovian"}
+
+
+def _offending(raw: dict) -> set:
+    """The config keys a validator must name for ``raw`` over the defaults."""
+    cfg = {**_DEFAULTS, **raw}
+
+    def number(value):
+        try:
+            return type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:
+            return False
+    bad = {key for key in NUMERIC_FIELDS if not number(cfg[key])}
+    ok = {key: cfg[key] for key in NUMERIC_FIELDS if key not in bad}
+    rules = {"omega_c": lambda: ok["omega_c"] <= 0,
+             "omega_h": lambda: ok["omega_h"] <= 0 or ok["omega_h"] <= ok["omega_c"],
+             "beta_h": lambda: ok["beta_h"] < 0,
+             "beta_c": lambda: ok["beta_c"] <= ok["beta_h"],
+             **{key: lambda key=key: ok[key] < 0 for key in NUMERIC_FIELDS[4:]}}
+    for key, rule in rules.items():
+        try:
+            if rule():
+                bad.add(key)
+        except KeyError:  # the rule reads a field that is not a number
+            pass
+    if all(key in ok for key in NUMERIC_FIELDS[4:]) and \
+            sum(ok[key] for key in NUMERIC_FIELDS[4:]) == math.inf:
+        bad.update(NUMERIC_FIELDS[4:])
+    if not bad and math.tanh(ok["beta_h"] * ok["omega_h"]) <= 0.0:
+        bad.add("beta_h")
+    return bad | {key for key in ("profile_h", "profile_c") if not isinstance(cfg[key], str)}
+
+
+def _named(error: ConfigError) -> set:
+    """The config keys in the subjects (the text before ' must') of the messages."""
+    return {key for problem in error.problems for key in _DEFAULTS
+            if re.search(rf"\b{key}\b", problem.split(" must ")[0])}
+
+
+def _cli(argv: list[str]) -> tuple:
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, err.getvalue(), out.getvalue()
+
+
+class TestRawConfigs:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_RAW_CONFIGS)
+    def test_one_error_names_every_fault_on_both_routes(self, tmp_path_factory, raw):
+        work = tmp_path_factory.getbasetemp()
+        path = work / "raw.json"
+        path.write_text(json.dumps(raw))
+        expected = _offending(raw)
+        try:
+            config, _ = load_cycle_config(str(path), {})
+        except ConfigError as error:
+            assert _named(error) == expected, str(error)
+        else:
+            assert not expected
+            strong_cycle(config)
+        # the same values as --set pairs, where text spells them exactly
+        if all(isinstance(value, (float, str)) for value in raw.values()):
+            sets = [arg for key, value in raw.items()
+                    for arg in ("--set", f"{key}={value!r}" if isinstance(value, float)
+                                else f"{key}={value}")]
+            out = str(work / "c.csv")
+            assert _cli(["cycle", *sets, "--out", out]) == \
+                _cli(["cycle", "--config", str(path), "--out", out])
+
+
 def _readme_examples() -> list[list[str]]:
     """argv of every ``qotto <command> ...`` line in the README's shell blocks."""
     return [shlex.split(line, comments=True)[1:]
@@ -396,8 +522,7 @@ class TestReadmeExamples:
                                                             "cycle", "sweep"}
 
     @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
-    def test_runs_without_warnings(self, argv, tmp_path, monkeypatch, capsys,
-                                   warnings_as_errors):
+    def test_runs_without_warnings(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QOTTO_OUT_DIR", str(tmp_path))
         assert run(argv) == 0
         assert list(tmp_path.iterdir())

@@ -107,6 +107,32 @@ class TestConfigValidation:
         for name, problem in zip(("omega_h", "tau_h", "tau_c"), problems):
             assert problem.startswith(f"{name} must be finite")
 
+    def test_non_numbers_are_named_once_each(self):
+        config = CycleConfig(omega_c="abc", omega_h=None, beta_c=True, beta_h=10**400,
+                             tau_h=-1.0, tau_c=1.0)
+        assert config.problems() == [
+            "omega_c must be a number, got 'abc'", "omega_h must be a number, got None",
+            "beta_c must be a number, got True",
+            "beta_h must be a number, got an int too large for a float",
+            "tau_h must be >= 0, got -1.0"]
+
+    def test_infinite_total_duration_rejected(self):
+        config = CycleConfig(**ENGINE, tau_h=1e308, tau_c=1e308)
+        assert config.problems() == ["the total duration tau_u1 + tau_h + tau_u2 + tau_c "
+                                     "must be finite, got inf"]
+
+    def test_build_config_validates_before_building_profiles(self, monkeypatch):
+        from qotto import cycle as cycle_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a profile was built before validation")
+        monkeypatch.setattr(cycle_mod, "profile_from_spec", forbidden)
+        with pytest.raises(ConfigError) as err:
+            build_config(omega_c=1.0, omega_h=2.0, beta_c=-1.0, beta_h=0.2,
+                         tau_h=1.0, tau_c=1.0, kind_c=None)
+        assert err.value.problems == ["beta_c must exceed beta_h, got -1.0 <= 0.2",
+                                      "profile_c must be a string, got None"]
+
     def test_build_config_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_config(**ENGINE, tau_h=1.0, tau_c=1.0, kind_h="exotic")
@@ -230,11 +256,15 @@ class TestStrongCycle:
                 assert report.cop <= report.carnot_cop + 1e-12
 
     def test_entropy_production_traces_nonnegative(self):
+        # each trace ends at its contact's end, where it is the cycle's sigma
         for params in (ENGINE, FRIDGE):
             config = build_config(**params, tau_h=2.0, tau_c=2.0)
+            report = strong_cycle(config)
             for stroke in ("hot", "cold"):
                 trace = stroke_entropy_production_trace(config, stroke, n_points=30)
                 assert trace.min() >= -1e-8
+                sigma = report.strokes[f"{stroke}_contact"].entropy_production
+                assert trace[-1] == pytest.approx(sigma, rel=0.0, abs=1e-9)
 
     def test_nonmarkovian_power_advantage(self):
         markovian = MarkovianProfile(g=0.8)
@@ -390,6 +420,12 @@ class TestApplyAxis:
                     assert np.array_equal(new.times, old.times)
                     assert np.array_equal(new.values, old.values)
                     assert new.phase(2.0) == old.phase(2.0)
+
+    def test_bath_axis_validates_before_rebuilding(self):
+        config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0)
+        with pytest.raises(ConfigError) as err:
+            apply_axis(config, "beta_c", -1.0)
+        assert err.value.problems == ["beta_c must exceed beta_h, got -1.0 <= 0.2"]
 
     def test_unknown_axis(self):
         config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0)
