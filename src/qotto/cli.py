@@ -25,7 +25,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import __version__
-from .cycle import (NUMERIC_FIELDS, CycleConfig, CycleReport, apply_axis,
+from .cycle import (NUMERIC_FIELDS, SWEEP_AXES, CycleConfig, CycleReport, apply_axis,
                     build_config, max_energy_deviation, strong_cycle,
                     strong_cycle_via_oracle, STROKE_ORDER)
 from .errors import ConfigError, QottoError, SingularGeneratorError
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_AUDIT = 3
-
-SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "beta_c")
 
 _PROFILE_KEYS = ("profile_h", "profile_c")
 _ANALYTIC_PROFILES = ("markovian", "nonmarkovian")
@@ -56,6 +54,9 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, str) and ("," in value or '"' in value or "\n" in value
+                                   or "\r" in value):
+        return '"' + value.replace('"', '""') + '"'  # quoted as in RFC 4180
     return str(value)
 
 
@@ -170,7 +171,10 @@ def run_witness_scan(args) -> int:
         header += [f"f_{name}", f"F_{name}", f"gamma_{name}",
                    f"markovian_flag_{name}", f"witness_min_eig_{name}"]
     rows = []
-    ts = args.t_max * np.arange(1, args.points + 1) / args.points
+    k = np.arange(1, args.points + 1)
+    with np.errstate(over="ignore"):  # t_max * k overflows for t_max near the float maximum
+        ts = args.t_max * k / args.points
+    ts = np.where(np.isfinite(ts), ts, args.t_max / args.points * k)
     for t_raw in ts:
         t = float(t_raw)
         row = [t]

@@ -12,6 +12,10 @@ weights sin^2 F of the contact strokes:
 The weak-coupling cycle is the same closed form at sin^2 F_h = sin^2 F_c = 1,
 so one routine evaluates both.
 
+The closed-form and oracle routes share one cycle skeleton (``_cycle``): the
+quenches, the entropy productions, the stroke ledger and the metrics. They
+differ only in their two contacts, which the oracle integrates numerically.
+
 Partial thermalization in the final stroke breaks exact cyclicity; the
 report carries the residual instead of silently assuming closure.
 """
@@ -215,20 +219,37 @@ def _binary_entropy(p: float) -> float:
     return s
 
 
-def _stroke_ledgers(e_a1: float, e_b: float, e_c1: float, e_d: float, e_a0: float,
-                    w_ab: float, w_cd: float, q_h: float, q_c: float,
-                    sigma_h: float, sigma_c: float,
-                    coupling_costs: tuple = (0.0, 0.0, 0.0, 0.0)) -> dict:
-    """The eight stroke ledgers from the stroke endpoint quantities.
+def _cycle(config: CycleConfig, hot: tuple, cold: tuple, w_cd: float,
+           work: float | None, sw_h: float, sw_c: float) -> CycleReport:
+    """The cycle around a hot and a cold contact of thermal weights sw_h and sw_c.
 
-    e_a1, e_b, e_c1, e_d, e_a0 are the internal energies at the cycle start,
-    after the up-quench, at the end of the hot contact, after the down-quench
-    and at the end of the cold contact; ``coupling_costs`` holds the hot
-    connect, hot disconnect, cold connect and cold disconnect works.
+    Each contact is ``(p_end, heat, energy_end, (w_connect, w_disconnect))``:
+    the system population and internal energy it ends with, the heat it takes
+    in and the costs of switching its coupling on and off. ``w_cd`` is the
+    down-quench work. The two quench works are of size omega_h and cancel;
+    their sum loses the relative precision of the net work W0 sin^2 F_h, so a
+    route that knows the net work passes it as ``work`` (None: the sum).
+
+    Each contact starts from the product of a diagonal system state with a
+    Gibbs bath qubit, so its entropy production is Delta S_S - beta Q
+    (Esposito, Lindenberg and Van den Broeck, NJP 12, 013013 (2010)) on both
+    routes; the oracle's 4x4 relative entropy would diverge numerically once
+    the bath's upper level rounds to zero.
     """
-    w_con_h, w_dis_h, w_con_c, w_dis_c = coupling_costs
-    return {
-        "quench_up": EnergyLedger(w_ab, 0.0, e_a1, e_b),
+    wc, wh = config.omega_c, config.omega_h
+    g_c, g_h = config.g_c, config.g_h
+    p_c1, q_h, e_c1, (w_con_h, w_dis_h) = hot
+    p_a0, q_c, e_a0, (w_con_c, w_dis_c) = cold
+    w_ab = (wc - wh) * g_c
+    e_b = -wh * g_c
+    e_d = wc * (2.0 * p_c1 - 1.0)
+    work = w_ab + w_cd if work is None else work
+
+    s_a1, s_c1 = _binary_entropy((1.0 - g_c) / 2.0), _binary_entropy(p_c1)
+    sigma_h = s_c1 - s_a1 - config.beta_h * q_h if sw_h > 0.0 else 0.0
+    sigma_c = _binary_entropy(p_a0) - s_c1 - config.beta_c * q_c if sw_c > 0.0 else 0.0
+    strokes = {
+        "quench_up": EnergyLedger(w_ab, 0.0, -wc * g_c, e_b),
         "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h),
         "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
         "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h),
@@ -238,41 +259,24 @@ def _stroke_ledgers(e_a1: float, e_b: float, e_c1: float, e_d: float, e_a0: floa
         "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c),
     }
 
-
-def _assemble(config: CycleConfig, strokes: dict, work: float, sw_h: float,
-              sw_c: float, p_back: float) -> CycleReport:
-    """Report from the stroke ledgers and the net work ``work``.
-
-    The two quench works are of size omega_h and cancel; their sum loses the
-    relative precision of the net work W0 sin^2 F_h, so callers pass it in.
-    """
-    heat_hot = strokes["hot_contact"].heat
-    heat_cold = strokes["cold_contact"].heat
     tau = config.tau
 
     def per_time(x: float) -> float:
         return x / tau if tau > 0.0 else math.nan
 
-    g_c, g_h = config.g_c, config.g_h
-    w0 = (config.omega_c - config.omega_h) * (g_c - g_h)
-    qc0 = config.omega_c * (g_h - g_c)
-    eta0 = 1.0 - config.omega_c / config.omega_h
-    cop0 = config.omega_c / (config.omega_h - config.omega_c)
-    carnot_eta = 1.0 - config.beta_h / config.beta_c
-    carnot_cop = (config.beta_h / (config.beta_c - config.beta_h)
-                  if config.beta_h > 0.0 else 0.0)
-
+    w0 = (wc - wh) * (g_c - g_h)
+    carnot_cop = config.beta_h / (config.beta_c - config.beta_h) if config.beta_h > 0.0 else 0.0
     return CycleReport(
-        config=config, strokes=strokes, work_total=work, heat_hot=heat_hot,
-        heat_cold=heat_cold, tau=tau, thermal_weight_hot=sw_h,
-        thermal_weight_cold=sw_c, eta=-work / heat_hot if heat_hot != 0.0 else math.nan,
-        power=per_time(-work), kappa=per_time(heat_cold),
-        cop=heat_cold / work if work != 0.0 else math.nan,
-        regime=classify_regime(heat_hot, heat_cold, work),
-        eta0=eta0, power0=per_time(-w0), kappa0=per_time(qc0), cop0=cop0,
-        carnot_eta=carnot_eta, carnot_cop=carnot_cop,
-        cyclicity_residual=abs(p_back - (1.0 - g_c) / 2.0),
-        energy_residual=work + heat_hot + heat_cold)
+        config=config, strokes=strokes, work_total=work, heat_hot=q_h, heat_cold=q_c,
+        tau=tau, thermal_weight_hot=sw_h, thermal_weight_cold=sw_c,
+        eta=-work / q_h if q_h != 0.0 else math.nan,
+        power=per_time(-work), kappa=per_time(q_c),
+        cop=q_c / work if work != 0.0 else math.nan,
+        regime=classify_regime(q_h, q_c, work),
+        eta0=1.0 - wc / wh, power0=per_time(-w0), kappa0=per_time(wc * (g_h - g_c)),
+        cop0=wc / (wh - wc), carnot_eta=1.0 - config.beta_h / config.beta_c,
+        carnot_cop=carnot_cop, cyclicity_residual=abs(p_a0 - (1.0 - g_c) / 2.0),
+        energy_residual=work + q_h + q_c)
 
 
 def weak_cycle(config: CycleConfig) -> CycleReport:
@@ -298,37 +302,17 @@ def _post_hot_population(g_h: float, g_c: float, sw_h: float) -> float:
 def _closed_form_cycle(config: CycleConfig, sw_h: float, sw_c: float) -> CycleReport:
     """The cycle whose hot and cold contacts have thermal weights sw_h and sw_c.
 
-    Each contact starts from the product of a diagonal system state with a
-    Gibbs bath qubit, so its entropy production is Delta S_S - beta Q
-    (Esposito, Lindenberg and Van den Broeck, NJP 12, 013013 (2010)), and
-    every closed-form joint state has a purely imaginary exchange coherence
+    Every closed-form joint state has a purely imaginary exchange coherence
     rho[1,2], so the coupling costs 2 f Re rho[1,2] vanish exactly.
     """
     wc, wh = config.omega_c, config.omega_h
     g_c, g_h = config.g_c, config.g_h
-
-    p_a1 = (1.0 - g_c) / 2.0
     p_c1 = _post_hot_population(g_h, g_c, sw_h)
     p_a0 = p_c1 * (1.0 - sw_c) + (1.0 - g_c) / 2.0 * sw_c
-    # a contact from population p with bath parameter g in [0, 1] (as in any valid config)
-    # has the joint spectrum {(1 +/- g)/2 p, (1 +/- g)/2 (1 - p)}: a state iff p is in [0, 1]
-    for p in (p_a1, p_c1, p_a0):
-        QubitState(p=p)
-
-    w_ab = (wc - wh) * g_c
-    q_h = wh * (g_c - g_h) * sw_h
+    hot = (p_c1, wh * (g_c - g_h) * sw_h, wh * (2.0 * p_c1 - 1.0), (0.0, -0.0))
+    cold = (p_a0, wc * (g_h - g_c) * sw_h * sw_c, wc * (2.0 * p_a0 - 1.0), (0.0, -0.0))
     w_cd = (wh - wc) * (g_h - (1.0 - sw_h) * (g_h - g_c))
-    q_c = wc * (g_h - g_c) * sw_h * sw_c
-
-    s_a1, s_c1 = _binary_entropy(p_a1), _binary_entropy(p_c1)
-    sigma_h = s_c1 - s_a1 - config.beta_h * q_h if sw_h > 0.0 else 0.0
-    sigma_c = _binary_entropy(p_a0) - s_c1 - config.beta_c * q_c if sw_c > 0.0 else 0.0
-
-    strokes = _stroke_ledgers(-wc * g_c, -wh * g_c, wh * (2.0 * p_c1 - 1.0),
-                              wc * (2.0 * p_c1 - 1.0), wc * (2.0 * p_a0 - 1.0),
-                              w_ab, w_cd, q_h, q_c, sigma_h, sigma_c,
-                              (0.0, -0.0, 0.0, -0.0))
-    return _assemble(config, strokes, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c, p_a0)
+    return _cycle(config, hot, cold, w_cd, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c)
 
 
 def _boundary_coupling(profile: CouplingProfile, t: float) -> np.ndarray:
@@ -342,59 +326,34 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     """Strong cycle with both contact strokes run through the ODE integrator.
 
     Every energy entry must match :func:`strong_cycle` within the oracle
-    tolerance; the unitary strokes have trivial dynamics (diagonal states are
-    stationary under sigma_z) and are evaluated directly.
+    tolerance. The quenches have trivial dynamics (diagonal states are
+    stationary under sigma_z), so only the two contacts differ from the
+    closed form: each is integrated from the product of its system state with
+    the Gibbs bath qubit and read off the joint state it ends in.
     """
     config.validate(need_profiles=True)
     wc, wh = config.omega_c, config.omega_h
-    g_c, g_h = config.g_c, config.g_h
     ph, pc = config.profile_h, config.profile_c
 
-    p_a1 = (1.0 - g_c) / 2.0
-    w_ab = (wc - wh) * g_c
-    e_a1 = -wc * g_c
-    e_b = -wh * g_c
-
-    def contact(p_in: float, profile: CouplingProfile, omega: float, tau: float,
-                beta: float):
+    def contact(p_in: float, profile: CouplingProfile, omega: float, tau: float) -> tuple:
         start = np.kron(np.diag([p_in, 1.0 - p_in]).astype(complex),
                         bath_thermal_matrix(profile.g))
-        if tau <= 0.0:
-            return start, start, 0.0, 0.0
-        end = oracle_propagate(QubitState(p=p_in), profile, omega, tau)
-        h_b = omega * linalg.SIGMA_Z
-        heat = -(thermo.bath_energy(end, h_b) - thermo.bath_energy(start, h_b))
-        # Delta S_S - beta Q, as in strong_cycle; the 4x4 relative entropy
-        # diverges numerically once the bath's upper level rounds to zero
-        p_out = float(linalg.partial_trace_bath(end)[0, 0].real)
-        sigma = _binary_entropy(p_out) - _binary_entropy(p_in) - beta * heat
-        return start, end, heat, sigma
+        end, heat = start, 0.0
+        if tau > 0.0:
+            end = oracle_propagate(QubitState(p=p_in), profile, omega, tau)
+            h_b = omega * linalg.SIGMA_Z
+            heat = -(thermo.bath_energy(end, h_b) - thermo.bath_energy(start, h_b))
+        h_sb = _boundary_coupling(profile, tau)
+        return (float(linalg.partial_trace_bath(end)[0, 0].real), heat,
+                thermo.internal_energy(end, omega * linalg.SIGMA_Z, h_sb),
+                (thermo.connect_disconnect_work(_boundary_coupling(profile, 0.0), start),
+                 thermo.connect_disconnect_work(h_sb, end, disconnect=True)))
 
-    hot_start, hot_end, q_h, sigma_h = contact(p_a1, ph, wh, config.tau_h, config.beta_h)
-    p_c1 = float(linalg.partial_trace_bath(hot_end)[0, 0].real)
-
-    e_c1 = thermo.internal_energy(hot_end, wh * linalg.SIGMA_Z,
-                                  _boundary_coupling(ph, config.tau_h))
-    w_cd = (wc - wh) * (2.0 * p_c1 - 1.0)
-    e_d = wc * (2.0 * p_c1 - 1.0)
-
-    cold_start, cold_end, q_c, sigma_c = contact(p_c1, pc, wc, config.tau_c, config.beta_c)
-    e_a0 = thermo.internal_energy(cold_end, wc * linalg.SIGMA_Z,
-                                  _boundary_coupling(pc, config.tau_c))
-
-    w_con_h = thermo.connect_disconnect_work(_boundary_coupling(ph, 0.0), hot_start)
-    w_dis_h = thermo.connect_disconnect_work(_boundary_coupling(ph, config.tau_h),
-                                             hot_end, disconnect=True)
-    w_con_c = thermo.connect_disconnect_work(_boundary_coupling(pc, 0.0), cold_start)
-    w_dis_c = thermo.connect_disconnect_work(_boundary_coupling(pc, config.tau_c),
-                                             cold_end, disconnect=True)
-
-    strokes = _stroke_ledgers(e_a1, e_b, e_c1, e_d, e_a0, w_ab, w_cd, q_h, q_c,
-                              sigma_h, sigma_c, (w_con_h, w_dis_h, w_con_c, w_dis_c))
-
-    p_a0 = float(linalg.partial_trace_bath(cold_end)[0, 0].real)
-    return _assemble(config, strokes, w_ab + w_cd, ph.thermal_weight(config.tau_h),
-                     pc.thermal_weight(config.tau_c), p_a0)
+    hot = contact((1.0 - config.g_c) / 2.0, ph, wh, config.tau_h)
+    p_c1 = hot[0]
+    cold = contact(p_c1, pc, wc, config.tau_c)
+    return _cycle(config, hot, cold, (wc - wh) * (2.0 * p_c1 - 1.0), None,
+                  ph.thermal_weight(config.tau_h), pc.thermal_weight(config.tau_c))
 
 
 def max_energy_deviation(a: CycleReport, b: CycleReport) -> float:
@@ -431,14 +390,17 @@ def stroke_entropy_production_trace(config: CycleConfig, stroke: str,
     return out
 
 
+SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "beta_c")
+
+
 def apply_axis(config: CycleConfig, axis: str, value: float) -> CycleConfig:
-    """Sweepable copy of a config with one parameter replaced.
+    """Sweepable copy of a config with one parameter, one of ``SWEEP_AXES``, replaced.
 
     Changing a frequency or temperature rebuilds the matching profile with
     the implied g; changing g_h or g_c adjusts the corresponding beta. The
     copy is validated before its profile is rebuilt.
     """
-    if axis in ("tau_h", "tau_c", "tau_u1", "tau_u2"):
+    if axis in ("tau_h", "tau_c"):
         return replace(config, **{axis: value})
     bath = axis[-1]  # h or c, the bath whose g changes
     if axis in ("omega_c", "omega_h", "beta_c", "beta_h"):

@@ -248,12 +248,12 @@ def vectorized_reps(profile: CouplingProfile, omega: float, t: float) -> Vectori
     """Vectorized map Lambda_t, generator L_t = dLambda_t Lambda_t^{-1}, and Omega(L_t)."""
     g = profile.g
     up, down = 0.5 * (1.0 + g), 0.5 * (1.0 - g)
-    rot = np.exp(-2j * omega * t)
     phase = profile.phase(t)
     cf, s = math.cos(phase), math.sin(phase) ** 2
     if abs(cf) < TOL.cos_phase_singular:
         raise SingularGeneratorError(
             f"dynamical map not invertible at t = {t}: |cos F| = {abs(cf):.2e}")
+    rot = np.exp(-2j * omega * t)
     map_hat = _vec_matrix(((1.0 - up * s, down * s), (up * s, 1.0 - down * s)), rot * cf)
     # f(t) diverges at t = 0 but the products f sin(2F) and f sin(F) have
     # finite limits; evaluating them just above zero realizes those limits

@@ -95,6 +95,11 @@ class MarkovianProfile(CouplingProfile):
         return 1.0 / (2.0 * self.g)
 
 
+# u**2 overflows a float above u ~ 1.3e154; past 1e154 the term sin(20t)/u^2
+# is below 1e-307 and cannot change f
+_SQUARE_MAX = 1e154
+
+
 @dataclass(frozen=True)
 class NonMarkovianProfile(CouplingProfile):
     """Constant-rate coupling plus an oscillatory correction.
@@ -103,16 +108,20 @@ class NonMarkovianProfile(CouplingProfile):
     derivative of sin(20t)/(10t+1), so the accumulated phase picks up that
     term in closed form. The rate f(t) tan F(t) dips below zero on short
     windows, breaking CP-divisibility, while F(t) -> pi/2 still holds and the
-    asymptotic thermal state is unchanged.
+    asymptotic thermal state is unchanged. Once 20t overflows (t ~ 9e306)
+    sin(20t) cannot be evaluated; the correction terms are below 3e-306
+    there and count as 0.
     """
 
     def f(self, t: float) -> float:
-        u = 10.0 * t + 1.0
-        return (_constant_rate_f(self.g, t)
-                - 10.0 * math.sin(20.0 * t) / u**2 + 20.0 * math.cos(20.0 * t) / u)
+        base, u = _constant_rate_f(self.g, t), 10.0 * t + 1.0
+        if u < _SQUARE_MAX:
+            return base - 10.0 * math.sin(20.0 * t) / u**2 + 20.0 * math.cos(20.0 * t) / u
+        return base + (20.0 * math.cos(20.0 * t) / u if math.isfinite(20.0 * t) else 0.0)
 
     def phase(self, t: float) -> float:
-        return _constant_rate_phase(self.g, t) + math.sin(20.0 * t) / (10.0 * t + 1.0)
+        return _constant_rate_phase(self.g, t) + (
+            math.sin(20.0 * t) / (10.0 * t + 1.0) if math.isfinite(20.0 * t) else 0.0)
 
 
 @dataclass(frozen=True)

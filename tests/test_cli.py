@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -20,26 +21,25 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def read_csv(path):
     """Re-parse an emitted CSV: (metadata, header, rows with floats restored)."""
-    metadata, header, rows = {}, None, []
-    with open(path, encoding="utf-8") as stream:
+    metadata, lines = {}, []
+    with open(path, encoding="utf-8", newline="") as stream:
         for line in stream:
-            line = line.rstrip("\n")
             if line.startswith("#"):
-                if "=" in line:
-                    key, _, value = line[1:].partition("=")
+                key, sep, value = line[1:].partition("=")
+                if sep:
                     metadata[key.strip()] = value.strip()
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                continue
-            parsed = []
-            for cell in cells:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(cell)
-            rows.append(parsed)
+            else:
+                lines.append(line)
+    header, *cells = csv.reader(lines)
+    rows = []
+    for row in cells:
+        parsed = []
+        for cell in row:
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                parsed.append(cell)
+        rows.append(parsed)
     return metadata, header, rows
 
 
@@ -110,6 +110,37 @@ class TestPowerTrace:
             assert abs(value - (-math.expm1(-t / 0.8))) <= 1e-9
         gaps = [nm - m for t, m, nm in zip(ts, markovian, nonmarkovian) if t <= 1.0]
         assert max(gaps) > 0.0
+
+
+class TestHugeTimes:
+    """Valid times up to the float maximum give finite rows without a warning
+    (the suite turns every warning into an error)."""
+
+    def test_nonmarkovian_cycle_with_longest_hot_contact(self, tmp_path, capsys):
+        out = tmp_path / "cycle.csv"
+        assert run(["cycle", "--set", "profile_h=nonmarkovian", "--set", "tau_h=1e308",
+                    "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert all(math.isfinite(cell) for row in rows for cell in row[1:])
+        assert "thermal weights: hot 1," in capsys.readouterr().out
+
+    def test_power_trace_to_the_float_maximum(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert run(["dynamics", "--g", "1", "--t-max", "1e308", "--points", "3",
+                    "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert column(header, rows, "t") == [0.0, 5e307, 1e308]
+        assert column(header, rows, "p_ratio_nonmarkovian") == [0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("t_max", [1e200, 1e308])
+    def test_witness_scan_to_huge_times(self, t_max, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(["witness", "--t-max", repr(t_max), "--points", "3",
+                    "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        ts = column(header, rows, "t")
+        assert all(math.isfinite(t) for t in ts) and ts[-1] == pytest.approx(t_max)
+        assert all(math.isfinite(f) for f in column(header, rows, "f_nonmarkovian"))
 
 
 class TestCycleCommand:
@@ -424,8 +455,10 @@ class TestConfigFaults:
         assert run(["sweep", "--sweep", "beta_c:-1:1:3", "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
         assert column(header, rows, "valid") == [0, 0, 1]
-        for error in column(header, rows, "error")[:2]:
-            assert error.startswith("beta_c must exceed beta_h")
+        assert column(header, rows, "error") == [
+            "beta_c must exceed beta_h, got -1.0 <= 0.2",
+            "beta_c must exceed beta_h, got 0.0 <= 0.2", ""]
+        assert all(len(row) == len(header) for row in rows)
 
 
 # a numeric config value: valid, out of range, not finite, not a number, or a

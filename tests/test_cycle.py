@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qotto import linalg, thermo
-from qotto.cycle import (CycleConfig, apply_axis, build_config, classify_regime,
-                         max_energy_deviation, stroke_entropy_production_trace,
-                         strong_cycle, strong_cycle_via_oracle, weak_cycle)
+from qotto.cycle import (STROKE_ORDER, CycleConfig, apply_axis, build_config,
+                         classify_regime, max_energy_deviation,
+                         stroke_entropy_production_trace, strong_cycle,
+                         strong_cycle_via_oracle, weak_cycle)
 from qotto.dynamics import QubitState, joint_state_closed_form
 from qotto.errors import ConfigError, QottoError, UndefinedPowerError
 from qotto.profiles import MarkovianProfile, NonMarkovianProfile, TabulatedProfile
+from qotto.tolerances import TOL
 
 ENGINE = dict(omega_c=1.0, omega_h=2.0, beta_c=1.0, beta_h=0.2)
 FRIDGE = dict(omega_c=1.0, omega_h=2.0, beta_c=1.0, beta_h=0.6)
@@ -347,6 +349,20 @@ class TestScalarRoute:
             if audit is not None:
                 assert sigma == pytest.approx(audit, rel=0.0, abs=1e-9)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(valid_configs())
+    def test_stroke_energies_are_those_of_qubit_states(self, config):
+        # every population is a convex combination of (1 - g)/2 values, so each
+        # stroke ends at omega (2 p - 1) with p in [0, 1/2]
+        reports = [strong_cycle(config)] + ([weak_cycle(config)] if config.tau > 0.0 else [])
+        for report in reports:
+            for k, name in enumerate(STROKE_ORDER):
+                # the first four strokes end at omega_h, the down-quench and the rest at omega_c
+                omega = config.omega_h if k < 4 else config.omega_c
+                slack = 2.0 * omega * TOL.qubit_positivity
+                energy = report.strokes[name].internal_energy_final
+                assert -omega - slack <= energy <= slack, name
+
     def test_weak_cycle_matches_audit_route(self):
         # the weak cycle is the closed form at F = pi/2, a zero-length hot
         # contact included: its entropy productions are the full-thermalization ones
@@ -380,6 +396,14 @@ class TestOraclePath:
         report = strong_cycle_via_oracle(config)
         assert report.heat_hot == 0.0
         assert report.heat_cold == 0.0
+
+    @pytest.mark.parametrize("durations, contact", [((0.0, 2.0), "hot_contact"),
+                                                   ((2.0, 0.0), "cold_contact")])
+    def test_zero_duration_contact_reports_positive_zeros(self, durations, contact):
+        config = build_config(**ENGINE, tau_h=durations[0], tau_c=durations[1])
+        ledger = strong_cycle_via_oracle(config).strokes[contact]
+        for value in (ledger.heat, ledger.entropy_production):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestClassification:
