@@ -12,8 +12,8 @@ from .cycle import (CycleConfig, CycleReport, build_config, classify_regime,
                     strong_cycle, strong_cycle_via_oracle, weak_cycle)
 from .dynamics import (QubitState, VectorizedRep, cp_divisibility_witness,
                        joint_state, joint_state_closed_form, master_equation_rhs,
-                       oracle_propagate, oracle_trajectory, reduced_state,
-                       total_hamiltonian, vectorized_reps)
+                       oracle_propagate, reduced_state, total_hamiltonian,
+                       vectorized_reps)
 from .errors import (ConfigError, IntegrationFailureError, PositivityError,
                      QottoError, SingularGeneratorError, SupportViolationError,
                      UndefinedPowerError)

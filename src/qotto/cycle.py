@@ -315,13 +315,6 @@ def _closed_form_cycle(config: CycleConfig, sw_h: float, sw_c: float) -> CycleRe
     return _cycle(config, hot, cold, w_cd, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c)
 
 
-def _boundary_coupling(profile: CouplingProfile, t: float) -> np.ndarray:
-    # f diverges at t = 0+; the coupling cost is f * (pattern overlap) and the
-    # overlap vanishes at every boundary state, so any finite surrogate works
-    t_ref = max(t, ORACLE_T_START, profile.t_min)
-    return coupling_hamiltonian(profile.f(t_ref))
-
-
 def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     """Strong cycle with both contact strokes run through the ODE integrator.
 
@@ -329,7 +322,9 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     tolerance. The quenches have trivial dynamics (diagonal states are
     stationary under sigma_z), so only the two contacts differ from the
     closed form: each is integrated from the product of its system state with
-    the Gibbs bath qubit and read off the joint state it ends in.
+    the Gibbs bath qubit, which has no exchange coherence and so a zero
+    connection cost; its heat, end state and disconnection cost are read off
+    the joint state it ends in.
     """
     config.validate(need_profiles=True)
     wc, wh = config.omega_c, config.omega_h
@@ -341,13 +336,13 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
         end, heat = start, 0.0
         if tau > 0.0:
             end = oracle_propagate(QubitState(p=p_in), profile, omega, tau)
-            h_b = omega * linalg.SIGMA_Z
-            heat = -(thermo.bath_energy(end, h_b) - thermo.bath_energy(start, h_b))
-        h_sb = _boundary_coupling(profile, tau)
+            heat = thermo.heat_into_system(np.array([start, end]), omega * linalg.SIGMA_Z)
+        # f diverges at t = 0+; the end state's overlap with H_SB vanishes, so
+        # any finite surrogate time serves the disconnection cost
+        h_sb = coupling_hamiltonian(profile.f(max(tau, ORACLE_T_START, profile.t_min)))
         return (float(linalg.partial_trace_bath(end)[0, 0].real), heat,
                 thermo.internal_energy(end, omega * linalg.SIGMA_Z, h_sb),
-                (thermo.connect_disconnect_work(_boundary_coupling(profile, 0.0), start),
-                 thermo.connect_disconnect_work(h_sb, end, disconnect=True)))
+                (0.0, thermo.connect_disconnect_work(h_sb, end, disconnect=True)))
 
     hot = contact((1.0 - config.g_c) / 2.0, ph, wh, config.tau_h)
     p_c1 = hot[0]

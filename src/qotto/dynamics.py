@@ -10,7 +10,7 @@ reshuffled form and CP-divisibility witness, and an independent ODE oracle
 that audits the closed forms.
 
 Two audit routes live here. The oracle integrates the complex joint state
-with RK45 in one routine, ``_integrate``, at ``TOL.oracle_rtol`` and
+with RK45 in one call, ``oracle_propagate``, at ``TOL.oracle_rtol`` and
 ``TOL.oracle_atol``. The vectorized map, its derivative and its inverse are
 built by one helper from a 2x2 population block and a coherence factor, with
 the phase and the coupling each evaluated once per time.
@@ -172,47 +172,26 @@ def _seed_state(sys: QubitState, profile: CouplingProfile, omega: float,
     return u @ rho0 @ u.conj().T
 
 
-def _integrate(sys: QubitState, profile: CouplingProfile, omega: float,
-               t0: float, t1: float, **options) -> np.ndarray:
-    """Joint states from the seed at t0, integrated by RK45 to t1, shape (n, 4, 4).
-
-    The complex 16-vector is integrated as it is, at ``TOL.oracle_rtol`` and
-    ``TOL.oracle_atol``; ``options`` go to ``solve_ivp`` (``t_eval``).
-    """
-    sol = solve_ivp(_liouville_rhs(profile, omega), (t0, t1),
-                    _seed_state(sys, profile, omega, t0).ravel(), method="RK45",
-                    rtol=TOL.oracle_rtol, atol=TOL.oracle_atol, **options)
-    if not sol.success:
-        raise IntegrationFailureError(sol.message)
-    return sol.y.T.reshape(-1, 4, 4)
-
-
 def oracle_propagate(sys: QubitState, profile: CouplingProfile, omega: float,
                      t: float) -> np.ndarray:
     """Joint state at time t by adaptive 4th/5th-order integration of drho/dt = -i [H(t), rho].
 
     Deliberately avoids the commuting-Hamiltonian shortcut (except on the
     initial sliver below ``ORACLE_T_START``) so that it is an independent
-    check of the closed-form state.
+    check of the closed-form state. The complex 16-vector is integrated as it
+    is by RK45 at ``TOL.oracle_rtol`` and ``TOL.oracle_atol``.
     """
     if t <= 0.0:
         raise ValueError(f"oracle time must be positive, got {t}")
     t_seed = max(ORACLE_T_START, profile.t_min)
     if t <= t_seed:
         return _seed_state(sys, profile, omega, t)
-    return _integrate(sys, profile, omega, t_seed, t)[-1]
-
-
-def oracle_trajectory(sys: QubitState, profile: CouplingProfile, omega: float,
-                      times: np.ndarray) -> np.ndarray:
-    """Joint states sampled at the given times (all >= ORACLE_T_START), shape (n, 4, 4)."""
-    times = np.asarray(times, dtype=float)
-    t_seed = max(ORACLE_T_START, profile.t_min)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be a strictly increasing 1-d array with >= 2 entries")
-    if times[0] < t_seed:
-        raise ValueError(f"trajectory must start at or after {t_seed}, got {times[0]}")
-    return _integrate(sys, profile, omega, times[0], times[-1], t_eval=times)
+    sol = solve_ivp(_liouville_rhs(profile, omega), (t_seed, t),
+                    _seed_state(sys, profile, omega, t_seed).ravel(), method="RK45",
+                    rtol=TOL.oracle_rtol, atol=TOL.oracle_atol)
+    if not sol.success:
+        raise IntegrationFailureError(sol.message)
+    return sol.y[:, -1].reshape(4, 4)
 
 
 # --- vectorized map, generator and witness ----------------------------------

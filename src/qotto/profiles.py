@@ -22,6 +22,7 @@ into a profile.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,9 +181,15 @@ class TabulatedProfile(CouplingProfile):
 
 def load_tabulated(path, g: float) -> TabulatedProfile:
     """Read a two-column whitespace-separated (t, f) file; '#' starts a comment."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    with warnings.catch_warnings():  # an empty table is reported below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"tabulated profile {path} holds no samples")
     if data.shape[1] != 2:
         raise ValueError(f"expected two columns (t, f) in {path}, got {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"tabulated profile {path} holds a non-finite sample")
     return TabulatedProfile(g=g, times=data[:, 0], values=data[:, 1])
 
 
@@ -193,7 +200,10 @@ def profile_from_spec(spec: str, g: float) -> CouplingProfile:
     if spec == "nonmarkovian":
         return NonMarkovianProfile(g=g)
     if spec.startswith("tabulated:"):
-        return load_tabulated(spec.split(":", 1)[1], g=g)
+        path = spec.split(":", 1)[1]
+        if not path:
+            raise ConfigError([f"profile '{spec}' names no table file (tabulated:PATH)"])
+        return load_tabulated(path, g=g)
     raise ConfigError([f"unknown profile '{spec}' (markovian|nonmarkovian|tabulated:PATH)"])
 
 

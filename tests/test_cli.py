@@ -368,6 +368,33 @@ class TestExitCodes:
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
 
+    def test_oracle_mismatch_exits_three(self, capsys, monkeypatch):
+        from qotto import cli
+        monkeypatch.setattr(cli, "max_energy_deviation", lambda closed, oracle: 1.0)
+        assert run(["cycle", "--oracle"]) == 3
+        err = capsys.readouterr().err
+        assert "audit oracle_match: FAIL (1.000e+00)" in err.splitlines()
+        assert err.endswith("audit failure: oracle_match\n")
+
+    @pytest.mark.parametrize("argv", [["cycle", "--bogus"], []], ids=["bogus-flag", "bare"])
+    def test_usage_error_exits_one(self, argv, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_csv_to_stdout(self, capsys):
+        assert run(["dynamics", "--points", "3"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("#")]
+        header, *rows = csv.reader(lines)
+        assert header == ["t", "p_ratio_markovian", "p_ratio_nonmarkovian"]
+        assert [len(row) for row in rows] == [3, 3, 3]
+        assert float(rows[-1][0]) == 5.0
+
+    def test_non_numeric_sweep_bounds(self, capsys):
+        assert run(["sweep", "--sweep", "tau_h:a:b:3"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --sweep bounds must be numeric, got 'tau_h:a:b:3'\n")
+
     def test_oracle_answers_cold_bath(self, tmp_path):
         # the cold bath's upper level rounds to zero: the oracle's entropy
         # production must not go through the 4x4 relative entropy
@@ -449,6 +476,29 @@ class TestConfigFaults:
         path.write_text(text)
         assert run(["cycle", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.1 1\nnan 1\n0.3 1\n", "tabulated profile {path} holds a non-finite sample"),
+        ("0.1 1\n0.2 1\n0.3 inf\n", "tabulated profile {path} holds a non-finite sample"),
+        ("", "tabulated profile {path} holds no samples"),
+        ("# t f\n# none yet\n", "tabulated profile {path} holds no samples"),
+        ("0.1 1 2\n0.2 1 2\n", "expected two columns (t, f) in {path}, got 3"),
+        ("0.1 1\n0.2 1\n", "t = 2.0 outside tabulated domain [0.1, 0.2]"),
+    ], ids=["nan-time", "inf-value", "empty", "comments-only", "three-columns",
+            "tau-past-table"])
+    def test_table_faults(self, text, message, tmp_path, capsys):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        argv = ["cycle", "--set", f"profile_h=tabulated:{path}", "--out", str(tmp_path / "c.csv")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_table_spec_without_path(self, tmp_path, capsys):
+        assert run(["cycle", "--set", "profile_h=tabulated:",
+                    "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: profile 'tabulated:' names no table file (tabulated:PATH)\n")
 
     def test_invalid_sweep_rows_carry_the_field_message(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -379,12 +379,26 @@ class TestScalarRoute:
 
 
 class TestOraclePath:
-    @pytest.mark.parametrize("kind", ["markovian", "nonmarkovian"])
-    def test_matches_closed_form(self, kind):
-        config = build_config(**ENGINE, tau_h=2.0, tau_c=2.0, kind_h=kind)
+    @pytest.mark.parametrize("kind", ["markovian", "nonmarkovian", "tabulated",
+                                      "tabulated_hot_shorter_than_t0"])
+    def test_matches_closed_form(self, kind, tmp_path):
+        tau_h = 0.02 if kind == "tabulated_hot_shorter_than_t0" else 2.0
+        if kind.startswith("tabulated"):
+            # t0 = 0.05 lies above the oracle's start time; a hot contact
+            # shorter than t0 is the seed state alone, its disconnection
+            # cost evaluates f at t0
+            grid = np.linspace(0.05, 6.0, 600)
+            path = tmp_path / "table.txt"
+            reference = MarkovianProfile(g=0.5)
+            path.write_text("\n".join(f"{t:.17g} {reference.f(t):.17g}" for t in grid))
+            kind = f"tabulated:{path}"
+        config = build_config(**ENGINE, tau_h=tau_h, tau_c=2.0, kind_h=kind)
         closed = strong_cycle(config)
         oracle = strong_cycle_via_oracle(config)
         assert max_energy_deviation(closed, oracle) <= 1e-5
+        for name in ("connect_hot", "connect_cold"):
+            work = oracle.strokes[name].work
+            assert work == 0.0 and math.copysign(1.0, work) == 1.0
 
     def test_efficiency_via_oracle(self):
         config = build_config(**ENGINE, tau_h=1.3, tau_c=2.1)

@@ -9,7 +9,7 @@ from qotto.cycle import build_config, strong_cycle_via_oracle
 from qotto.dynamics import (QubitState, bath_thermal_matrix,
                             cp_divisibility_witness, joint_state,
                             joint_state_closed_form, master_equation_rhs,
-                            oracle_propagate, oracle_trajectory, reduced_state,
+                            oracle_propagate, reduced_state,
                             reshuffle, total_hamiltonian, vectorized_reps)
 from qotto.errors import SingularGeneratorError
 from qotto.profiles import (MarkovianProfile, NonMarkovianProfile, RatePair,
@@ -160,18 +160,6 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_propagate(QubitState(p=0.5), MarkovianProfile(g=0.5), 1.0, 0.0)
 
-    def test_trajectory_sampling(self):
-        profile = MarkovianProfile(g=0.8)
-        times = np.linspace(1e-6, 2.0, 5)
-        states = oracle_trajectory(QubitState(p=0.3), profile, 1.0, times)
-        assert states.shape == (5, 4, 4)
-        final = oracle_propagate(QubitState(p=0.3), profile, 1.0, 2.0)
-        assert np.max(np.abs(states[-1] - final)) <= 1e-8
-        with pytest.raises(ValueError):
-            oracle_trajectory(QubitState(p=0.3), profile, 1.0, np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            oracle_trajectory(QubitState(p=0.3), profile, 1.0, np.array([2.0, 1.0]))
-
     def test_integrates_complex_state_at_shared_tolerances(self, monkeypatch):
         seen = []
         solve_ivp = dynamics.solve_ivp
@@ -181,9 +169,7 @@ class TestOracle:
             return solve_ivp(fun, t_span, y0, **options)
         monkeypatch.setattr(dynamics, "solve_ivp", recorder)
         strong_cycle_via_oracle(build_config(1.0, 2.0, 1.0, 0.2, tau_h=0.5, tau_c=0.5))
-        oracle_trajectory(QubitState(p=0.3), MarkovianProfile(g=0.8), 1.0,
-                          np.linspace(1e-6, 0.5, 3))
-        assert seen == [(np.complex128, "RK45", TOL.oracle_rtol, TOL.oracle_atol)] * 3
+        assert seen == [(np.complex128, "RK45", TOL.oracle_rtol, TOL.oracle_atol)] * 2
 
 
 class TestMasterEquation:
