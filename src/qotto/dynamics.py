@@ -15,6 +15,11 @@ with RK45 in one call, ``oracle_propagate``, at ``TOL.oracle_rtol`` and
 built by one helper from a 2x2 population block and a coherence factor, with
 the phase and the coupling each evaluated once per time.
 
+scipy is imported only by the oracle: the module-level ``solve_ivp`` loads
+``scipy.integrate`` on the first integration, so importing this module (and
+the closed forms, the witness and the CLI's non-oracle commands) needs numpy
+alone.
+
 Convention: the joint state evolves through U(t) = exp(-i * int_0^t H dt').
 """
 
@@ -24,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import linalg
 from .errors import IntegrationFailureError, PositivityError, SingularGeneratorError
@@ -170,6 +174,13 @@ def _seed_state(sys: QubitState, profile: CouplingProfile, omega: float,
     h_eff = omega * t_seed * _FREE_PART + profile.phase(t_seed) * _COUPLING_PATTERN
     u = linalg.matrix_exp_skewhermitian(h_eff, 1.0)
     return u @ rho0 @ u.conj().T
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first oracle integration."""
+    from scipy import integrate
+
+    return integrate.solve_ivp(*args, **kwargs)
 
 
 def oracle_propagate(sys: QubitState, profile: CouplingProfile, omega: float,

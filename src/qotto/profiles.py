@@ -131,17 +131,21 @@ class TabulatedProfile(CouplingProfile):
 
     The head segment [0, t0] is outside the table; its phase contribution is
     approximated as f(t0) * t0 and the profile carries ``head_phase_approximated``
-    so reports can flag it.
+    so reports can flag it. Every sample must be finite; the error names
+    ``source``, where the samples came from (the file, for ``load_tabulated``).
     """
 
-    times: np.ndarray = None
-    values: np.ndarray = None
+    times: np.ndarray
+    values: np.ndarray
+    source: str = "<memory>"
     head_phase_approximated: bool = field(default=True, init=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError(f"tabulated profile {self.source} holds a non-finite sample")
         if times.ndim != 1 or times.shape != values.shape or times.size < 2:
             raise ValueError("tabulated profile needs matching 1-d arrays with >= 2 samples")
         if times[0] <= 0.0:
@@ -188,9 +192,7 @@ def load_tabulated(path, g: float) -> TabulatedProfile:
         raise ValueError(f"tabulated profile {path} holds no samples")
     if data.shape[1] != 2:
         raise ValueError(f"expected two columns (t, f) in {path}, got {data.shape[1]}")
-    if not np.isfinite(data).all():
-        raise ValueError(f"tabulated profile {path} holds a non-finite sample")
-    return TabulatedProfile(g=g, times=data[:, 0], values=data[:, 1])
+    return TabulatedProfile(g=g, times=data[:, 0], values=data[:, 1], source=str(path))
 
 
 def profile_from_spec(spec: str, g: float) -> CouplingProfile:

@@ -14,7 +14,9 @@ Definitions (units with hbar = k_B = 1, natural logarithms):
   relative entropy here is its audit route.
 
 Endpoint expressions are exact for these definitions; Simpson integration of
-the instantaneous flow is provided as an independent audit route.
+the instantaneous flow is provided as an independent audit route. That route,
+``heat_flow_integral``, is the only one here that needs scipy, and it imports
+``scipy.integrate.simpson`` when called.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import linalg
 from .errors import SupportViolationError
@@ -112,6 +113,8 @@ def heat_flow_integral(times: np.ndarray, states: np.ndarray, h_s: np.ndarray,
     drho/dt is evaluated exactly from the commutator with the full
     Hamiltonian, so the only error is the quadrature's.
     """
+    from scipy.integrate import simpson
+
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=complex)
     if times.size != states.shape[0] or times.size < 3:

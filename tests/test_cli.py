@@ -435,6 +435,21 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "qotto" in proc.stdout
 
+    def test_only_the_oracle_imports_scipy(self, tmp_path):
+        script = f"""
+import sys
+import qotto.cli
+out = {str(tmp_path / "x.csv")!r}
+for argv in (["dynamics"], ["witness", "--points", "20"],
+             ["sweep", "--sweep", "tau_c:0.1:2:5"], ["cycle"]):
+    assert qotto.cli.main(argv + ["--out", out]) == 0, argv
+assert "scipy" not in sys.modules
+assert qotto.cli.main(["cycle", "--oracle", "--out", out]) == 0
+assert "scipy.integrate" in sys.modules
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 _SET_FAULTS = [
     (["beta_c=-1"], "beta_c must exceed beta_h, got -1.0 <= 0.2"),

@@ -204,6 +204,14 @@ class TestTabulated:
         with pytest.raises(ValueError):
             TabulatedProfile(g=0.5, times=np.array([0.5, 0.2]), values=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("array", ["times", "values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, array, bad):
+        samples = {"times": np.array([0.1, 0.2, 0.3]), "values": np.array([1.0, 1.0, 1.0])}
+        samples[array][1] = bad
+        with pytest.raises(ValueError, match=r"^tabulated profile <memory> holds a non-finite"):
+            TabulatedProfile(g=0.5, **samples)
+
     def test_linear_interpolation(self):
         profile = TabulatedProfile(g=0.5, times=np.array([0.1, 0.3]),
                                    values=np.array([1.0, 3.0]))
