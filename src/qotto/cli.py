@@ -263,7 +263,8 @@ def run_cycle(args) -> int:
     if oracle is not None:
         oracle_dev = max_energy_deviation(report, oracle)
         meta["oracle_max_energy_deviation"] = oracle_dev
-        audits["oracle_match"] = (oracle_dev, oracle_dev <= TOL.oracle_cycle_match)
+        relative_dev = oracle_dev / config.omega_h  # in units of omega_h, as the law audits
+        audits["oracle_match"] = (relative_dev, relative_dev <= TOL.oracle_cycle_match)
     out = _resolve_out(args.out)
     _write_csv(out, header, rows, meta)
     print(_summary(report, audits), file=sys.stderr if out is None else sys.stdout)

@@ -183,16 +183,23 @@ class CycleReport:
         return {name: self.strokes[name].work for name in STROKE_ORDER if "connect" in name}
 
     def law_audits(self) -> dict[str, tuple[float, bool]]:
-        """name -> (value, passed). All tolerances come from the shared record."""
+        """name -> (value, passed). All tolerances come from the shared record.
+
+        The energy audits (first law, boundary work) judge their residual in
+        units of omega_h, which bounds every stroke energy, so a verdict does
+        not depend on the arbitrary unit of energy; the entropy and Carnot
+        audits are dimensionless already.
+        """
         out = {}
-        stroke_res = max(abs(lg.first_law_residual) for lg in self.strokes.values())
+        scale = self.config.omega_h
+        stroke_res = max(abs(lg.first_law_residual) for lg in self.strokes.values()) / scale
         out["first_law_strokes"] = (stroke_res, stroke_res <= TOL.first_law)
-        cycle_res = abs(self.work_total + self.heat_hot + self.heat_cold)
+        cycle_res = abs(self.work_total + self.heat_hot + self.heat_cold) / scale
         if self.thermal_weight_cold >= 1.0 - TOL.full_thermalization:
             out["first_law_cycle"] = (cycle_res, cycle_res <= TOL.first_law)
         min_sigma = min(lg.entropy_production for lg in self.strokes.values())
         out["entropy_production"] = (min_sigma, min_sigma >= TOL.entropy_production_floor)
-        boundary = max(abs(w) for w in self.boundary_works().values())
+        boundary = max(abs(w) for w in self.boundary_works().values()) / scale
         out["boundary_work"] = (boundary, boundary <= TOL.boundary_work)
         if self.regime == "engine":
             out["carnot"] = (self.eta, self.eta <= self.carnot_eta + TOL.carnot_slack)

@@ -10,10 +10,12 @@ reshuffled form and CP-divisibility witness, and an independent ODE oracle
 that audits the closed forms.
 
 Two audit routes live here. The oracle integrates the complex joint state
-with RK45 in one call, ``oracle_propagate``, at ``TOL.oracle_rtol`` and
-``TOL.oracle_atol``. The vectorized map, its derivative and its inverse are
-built by one helper from a 2x2 population block and a coherence factor, with
-the phase and the coupling each evaluated once per time.
+with DOP853 (8th-order Dormand-Prince) in one call, ``oracle_propagate``, at
+``TOL.oracle_rtol`` and ``TOL.oracle_atol``; each stroke may spend at most
+``ORACLE_RHS_BUDGET`` right-hand-side evaluations. The vectorized map, its
+derivative and its inverse are built by one helper from a 2x2 population
+block and a coherence factor, with the phase and the coupling each evaluated
+once per time.
 
 scipy is imported only by the oracle: the module-level ``solve_ivp`` loads
 ``scipy.integrate`` on the first integration, so importing this module (and
@@ -37,6 +39,8 @@ from .tolerances import TOL
 
 #: honest integration starts here; f(t) ~ 1/(2 sqrt(g t)) diverges at t = 0
 ORACLE_T_START = 1e-6
+#: right-hand-side evaluations one oracle stroke may use: about 2 s of integration
+ORACLE_RHS_BUDGET = 200_000
 
 _COUPLING_PATTERN = np.zeros((4, 4), dtype=complex)
 _COUPLING_PATTERN[1, 2] = 1.0
@@ -157,11 +161,27 @@ def master_equation_rhs(rho: np.ndarray, omega: float, rates: RatePair) -> np.nd
 
 # --- independent integrator -------------------------------------------------
 
-def _liouville_rhs(profile: CouplingProfile, omega: float):
+#: the free part of -i [H, rho] per unit omega on the row-major vec(rho):
+#: -i (d_i - d_j) with d = diag(_FREE_PART)
+_FREE_COMMUTATOR = -1j * np.subtract.outer(np.diag(_FREE_PART), np.diag(_FREE_PART)).ravel()
+#: -i [P, rho] as a 16x16 superoperator on the row-major vec(rho), P = _COUPLING_PATTERN
+_COUPLING_COMMUTATOR = -1j * (np.kron(_COUPLING_PATTERN, np.eye(4))
+                              - np.kron(np.eye(4), _COUPLING_PATTERN.T))
+
+
+def _liouville_rhs(profile: CouplingProfile, omega: float, t_end: float):
+    """d vec(rho)/dt = free * vec(rho) + f(t) C vec(rho), counted against ORACLE_RHS_BUDGET."""
+    free = omega * _FREE_COMMUTATOR
+    calls = 0
+
     def rhs(t, y):
-        rho = y.reshape(4, 4)
-        h = total_hamiltonian(omega, profile.f(t))
-        return (-1j * (h @ rho - rho @ h)).ravel()
+        nonlocal calls
+        calls += 1
+        if calls > ORACLE_RHS_BUDGET:
+            raise IntegrationFailureError(
+                f"oracle stroke of duration {t_end!r} exceeds the budget of "
+                f"{ORACLE_RHS_BUDGET} right-hand-side evaluations")
+        return free * y + profile.f(t) * (_COUPLING_COMMUTATOR @ y)
     return rhs
 
 
@@ -185,20 +205,26 @@ def solve_ivp(*args, **kwargs):
 
 def oracle_propagate(sys: QubitState, profile: CouplingProfile, omega: float,
                      t: float) -> np.ndarray:
-    """Joint state at time t by adaptive 4th/5th-order integration of drho/dt = -i [H(t), rho].
+    """Joint state at time t by adaptive 8th-order integration of drho/dt = -i [H(t), rho].
 
     Deliberately avoids the commuting-Hamiltonian shortcut (except on the
     initial sliver below ``ORACLE_T_START``) so that it is an independent
-    check of the closed-form state. The complex 16-vector is integrated as it
-    is by RK45 at ``TOL.oracle_rtol`` and ``TOL.oracle_atol``.
+    check of the closed-form state. The complex 16-vector vec(rho) is
+    integrated as it is by DOP853 at ``TOL.oracle_rtol`` and
+    ``TOL.oracle_atol``, with the right-hand side written as
+    ``free * vec(rho) + f(t) C vec(rho)``: the free part is an elementwise
+    scale, C the commutator with the exchange coupling as a 16x16
+    superoperator. A stroke that needs more than ``ORACLE_RHS_BUDGET``
+    evaluations (a non-Markovian one of a few hundred time units or more,
+    whose ripple keeps the steps short) raises IntegrationFailureError.
     """
     if t <= 0.0:
         raise ValueError(f"oracle time must be positive, got {t}")
     t_seed = max(ORACLE_T_START, profile.t_min)
     if t <= t_seed:
         return _seed_state(sys, profile, omega, t)
-    sol = solve_ivp(_liouville_rhs(profile, omega), (t_seed, t),
-                    _seed_state(sys, profile, omega, t_seed).ravel(), method="RK45",
+    sol = solve_ivp(_liouville_rhs(profile, omega, t), (t_seed, t),
+                    _seed_state(sys, profile, omega, t_seed).ravel(), method="DOP853",
                     rtol=TOL.oracle_rtol, atol=TOL.oracle_atol)
     if not sol.success:
         raise IntegrationFailureError(sol.message)

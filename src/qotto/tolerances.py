@@ -25,16 +25,16 @@ class Tolerances:
     thermal_weight_identity: float = 1e-9  # |sin^2 F - (1 - e^{-t/g})|, semigroup
     entropy_eig_floor: float = 1e-14    # eigenvalues below this are exact zeros
     support_weight: float = 1e-12       # weight on a null space that makes S(rho||sigma) infinite
-    first_law: float = 1e-8             # |dE - (W + Q)| per stroke and per cycle
+    first_law: float = 1e-8             # |dE - (W + Q)| / omega_h per stroke and per cycle
     full_thermalization: float = 1e-9   # sin^2 F_c >= 1 - this: cycle closes, audit first law
     entropy_production_floor: float = -1e-8
-    boundary_work: float = 1e-12        # coupling/decoupling cost
+    boundary_work: float = 1e-12        # coupling/decoupling cost / omega_h
     clausius_weak: float = 1e-12        # beta_h Qh0 + beta_c Qc0 <= this
     carnot_slack: float = 1e-12
     oracle_match: float = 1e-6          # closed form vs integrator, max entry
-    oracle_rtol: float = 1e-11          # relative step tolerance of the RK45 oracle
-    oracle_atol: float = 1e-13          # absolute step tolerance of the RK45 oracle
-    oracle_cycle_match: float = 1e-5    # closed-form vs oracle cycle ledger, max work/heat entry
+    oracle_rtol: float = 1e-11          # relative step tolerance of the ODE oracle
+    oracle_atol: float = 1e-13          # absolute step tolerance of the ODE oracle
+    oracle_cycle_match: float = 1e-5    # closed-form vs oracle ledger, max work/heat entry / omega_h
     master_residual: float = 1e-5       # relative master-equation residual
     stroke_scaling: float = 1e-8        # heat/work scaling identities
     cycle_identity: float = 1e-12       # |W - (W_AB + W_CD)|

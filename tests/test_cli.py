@@ -7,13 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qotto.cli import load_cycle_config, main
-from qotto.cycle import NUMERIC_FIELDS, strong_cycle
+from qotto.cycle import NUMERIC_FIELDS, build_config, strong_cycle
 from qotto.errors import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -368,12 +369,24 @@ class TestExitCodes:
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
 
+    def test_oracle_budget_exits_two(self, tmp_path, capsys):
+        from qotto.dynamics import ORACLE_RHS_BUDGET
+        start = time.perf_counter()
+        code = run(["cycle", "--oracle", "--set", "profile_h=nonmarkovian",
+                    "--set", "tau_h=1e200", "--out", str(tmp_path / "c.csv")])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and f"budget of {ORACLE_RHS_BUDGET}" in err
+        assert elapsed < 20.0  # about 2 s; unbounded before the budget
+
     def test_oracle_mismatch_exits_three(self, capsys, monkeypatch):
         from qotto import cli
         monkeypatch.setattr(cli, "max_energy_deviation", lambda closed, oracle: 1.0)
         assert run(["cycle", "--oracle"]) == 3
         err = capsys.readouterr().err
-        assert "audit oracle_match: FAIL (1.000e+00)" in err.splitlines()
+        # the audit reads the deviation in units of the default omega_h = 2
+        assert "audit oracle_match: FAIL (5.000e-01)" in err.splitlines()
         assert err.endswith("audit failure: oracle_match\n")
 
     @pytest.mark.parametrize("argv", [["cycle", "--bogus"], []], ids=["bogus-flag", "bare"])
@@ -449,6 +462,58 @@ assert "scipy.integrate" in sys.modules
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def _scaled_values(k: int, tau_h: float, tau_c: float) -> dict:
+    """The default cycle with (omega, beta) -> (2^k omega, beta / 2^k)."""
+    return {"omega_c": math.ldexp(1.0, k), "omega_h": math.ldexp(2.0, k),
+            "beta_c": math.ldexp(1.0, -k), "beta_h": math.ldexp(0.2, -k),
+            "tau_h": tau_h, "tau_c": tau_c}
+
+
+def _as_sets(values: dict, profile: str) -> list[str]:
+    pairs = [f"{key}={value!r}" for key, value in values.items()]
+    pairs += [f"profile_h={profile}", f"profile_c={profile}"]
+    return [arg for pair in pairs for arg in ("--set", pair)]
+
+
+_STROKE_TIMES = st.floats(0.05, 6.0)
+
+
+class TestEnergyScale:
+    """hbar = k_B = 1 leaves the unit of energy free: scaling every omega by
+    2^k and every beta by 2^-k, durations kept, scales each stroke energy by
+    exactly 2^k, so no audit verdict or exit code may change."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-60, 60), _STROKE_TIMES, _STROKE_TIMES,
+           st.sampled_from(["markovian", "nonmarkovian"]))
+    def test_closed_form_route(self, tmp_path_factory, k, tau_h, tau_c, profile):
+        out = str(tmp_path_factory.getbasetemp() / "c.csv")
+        reports, codes = [], []
+        for j in (0, k):
+            values = _scaled_values(j, tau_h, tau_c)
+            reports.append(strong_cycle(build_config(**values, kind_h=profile)))
+            codes.append(_cli(["cycle", *_as_sets(values, profile), "--out", out])[0])
+        ref, report = reports
+        for name in ref.strokes:
+            for field in ("work", "heat", "internal_energy_initial", "internal_energy_final"):
+                assert getattr(report.strokes[name], field) == \
+                    math.ldexp(getattr(ref.strokes[name], field), k), (name, field)
+        assert report.law_audits() == ref.law_audits()
+        assert codes == [0, 0]
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-40, 60))
+    def test_oracle_route(self, k):
+        # not below k = -40: from omega_h ~ 1e-13 the oracle's disconnection
+        # costs, rounding errors of size f * 1e-18 that do not scale with
+        # omega, exceed TOL.oracle_cycle_match in units of omega_h
+        for j in (0, k):
+            code, err, _ = _cli(["cycle", "--oracle",
+                                 *_as_sets(_scaled_values(j, 2.0, 2.0), "nonmarkovian")])
+            assert code == 0, err
+            assert "audit oracle_match: pass" in err
 
 
 _SET_FAULTS = [

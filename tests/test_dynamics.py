@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +12,7 @@ from qotto.dynamics import (QubitState, bath_thermal_matrix,
                             joint_state_closed_form, master_equation_rhs,
                             oracle_propagate, reduced_state,
                             reshuffle, total_hamiltonian, vectorized_reps)
-from qotto.errors import SingularGeneratorError
+from qotto.errors import IntegrationFailureError, SingularGeneratorError
 from qotto.profiles import (MarkovianProfile, NonMarkovianProfile, RatePair,
                             TabulatedProfile, rate_gamma, rate_pair)
 from qotto.tolerances import TOL
@@ -169,7 +170,51 @@ class TestOracle:
             return solve_ivp(fun, t_span, y0, **options)
         monkeypatch.setattr(dynamics, "solve_ivp", recorder)
         strong_cycle_via_oracle(build_config(1.0, 2.0, 1.0, 0.2, tau_h=0.5, tau_c=0.5))
-        assert seen == [(np.complex128, "RK45", TOL.oracle_rtol, TOL.oracle_atol)] * 2
+        assert seen == [(np.complex128, "DOP853", TOL.oracle_rtol, TOL.oracle_atol)] * 2
+
+    @pytest.mark.parametrize("profile", [
+        MarkovianProfile(g=0.8), NonMarkovianProfile(g=0.3),
+        TabulatedProfile(g=0.6, times=np.linspace(0.05, 5.0, 40),
+                         values=0.5 + 0.3 * np.sin(np.linspace(0.05, 5.0, 40)))])
+    def test_rhs_is_the_commutator(self, profile):
+        rng = np.random.default_rng(5)
+        omega = 1.7
+        rhs = dynamics._liouville_rhs(profile, omega, 5.0)
+        for t in (0.06, 0.4, 1.3, 2.7, 4.9):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = a + a.conj().T
+            h = total_hamiltonian(omega, profile.f(t))
+            expected = -1j * (h @ rho - rho @ h)
+            got = rhs(t, rho.ravel()).reshape(4, 4)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+    @pytest.fixture
+    def rhs_calls(self, monkeypatch):
+        calls = []
+        solve_ivp = dynamics.solve_ivp
+
+        def counting(fun, *args, **kwargs):
+            def rhs(t, y):
+                calls.append(t)
+                return fun(t, y)
+            return solve_ivp(rhs, *args, **kwargs)
+        monkeypatch.setattr(dynamics, "solve_ivp", counting)
+        return calls
+
+    # the non-Markovian ripple keeps the steps short however long the stroke
+    # is, so its cost grows with its duration until the budget stops it
+    def test_long_stroke_within_rhs_budget(self, rhs_calls):
+        sys, profile = QubitState(p=0.05), NonMarkovianProfile(g=0.4)
+        rho = oracle_propagate(sys, profile, 2.0, 100.0)
+        assert np.max(np.abs(rho - joint_state(sys, profile, 2.0, 100.0))) <= 1e-6
+        assert len(rhs_calls) <= dynamics.ORACLE_RHS_BUDGET
+
+    def test_rhs_budget_stops_unbounded_stroke(self, rhs_calls):
+        with pytest.raises(IntegrationFailureError,
+                           match=re.escape(f"1e+200 exceeds the budget of "
+                                           f"{dynamics.ORACLE_RHS_BUDGET}")):
+            oracle_propagate(QubitState(p=0.05), NonMarkovianProfile(g=0.4), 2.0, 1e200)
+        assert len(rhs_calls) == dynamics.ORACLE_RHS_BUDGET + 1
 
 
 class TestMasterEquation:
