@@ -30,6 +30,7 @@ from .cycle import (NUMERIC_FIELDS, SWEEP_AXES, CycleConfig, CycleReport, apply_
                     strong_cycle_via_oracle, STROKE_ORDER)
 from .errors import ConfigError, QottoError, SingularGeneratorError
 from .profiles import profile_from_spec, rate_gamma
+# perfbench/tracing.py wraps these here, tests/test_perfbench_bindings.py pins them; ROADMAP item 3 removes them
 from .dynamics import cp_divisibility_witness, vectorized_reps
 from .tolerances import TOL
 
@@ -181,13 +182,9 @@ def run_witness_scan(args) -> int:
         for profile in profiles:
             try:
                 gamma = rate_gamma(profile, t)
-                try:
-                    _, evals = cp_divisibility_witness(vectorized_reps(profile, omega, t))
-                    wmin = float(evals.min())
-                except SingularGeneratorError:
-                    # the map is not invertible but gamma has a closed form; the
-                    # projected witness is diag(0, (1+g) gamma, (1-g) gamma, 0)
-                    wmin = min(0.0, (1.0 + profile.g) * gamma, (1.0 - profile.g) * gamma)
+                # the projected witness is diag(0, (1+g) gamma, (1-g) gamma, 0)
+                # (PRL 105, 050403); cp_divisibility_witness is its 4x4 audit route
+                wmin = min(0.0, (1.0 + profile.g) * gamma, (1.0 - profile.g) * gamma)
             except SingularGeneratorError:
                 gamma = math.nan
                 wmin = math.nan
@@ -300,9 +297,13 @@ def run_sweep(args) -> int:
     if axis not in SWEEP_AXES:
         raise ConfigError([f"sweep axis must be one of {', '.join(SWEEP_AXES)}, got '{axis}'"])
     try:
-        lo, hi, count = float(lo), float(hi), int(count)
+        lo, hi = float(lo), float(hi)
     except ValueError:
         raise ConfigError([f"--sweep bounds must be numeric, got '{args.sweep}'"])
+    try:
+        count = int(count)
+    except ValueError:
+        raise ConfigError([f"--sweep count must be an integer, got '{count}'"])
     if count < 1 or (count > 1 and hi <= lo):
         raise ConfigError([f"degenerate sweep range '{args.sweep}'"])
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -30,9 +30,10 @@ import numpy as np
 
 from . import linalg, thermo
 from .dynamics import (ORACLE_T_START, QubitState, bath_thermal_matrix,
-                       coupling_hamiltonian, joint_state_closed_form,
-                       oracle_propagate)
-from .errors import ConfigError, UndefinedPowerError
+                       coupling_hamiltonian, oracle_propagate)
+# perfbench/tracing.py wraps this here, tests/test_perfbench_bindings.py pins it; ROADMAP item 3 removes it
+from .dynamics import joint_state_closed_form
+from .errors import ConfigError, IntegrationFailureError, UndefinedPowerError
 from .profiles import CouplingProfile, profile_from_spec
 from .thermo import EnergyLedger
 from .tolerances import TOL
@@ -301,11 +302,6 @@ def strong_cycle(config: CycleConfig) -> CycleReport:
                               config.profile_c.thermal_weight(config.tau_c))
 
 
-def _post_hot_population(g_h: float, g_c: float, sw_h: float) -> float:
-    """System population after a hot contact of thermal weight sw_h from (1 - g_c)/2."""
-    return (1.0 - g_h) / 2.0 + 0.5 * (1.0 - sw_h) * (g_h - g_c)
-
-
 def _closed_form_cycle(config: CycleConfig, sw_h: float, sw_c: float) -> CycleReport:
     """The cycle whose hot and cold contacts have thermal weights sw_h and sw_c.
 
@@ -314,7 +310,7 @@ def _closed_form_cycle(config: CycleConfig, sw_h: float, sw_c: float) -> CycleRe
     """
     wc, wh = config.omega_c, config.omega_h
     g_c, g_h = config.g_c, config.g_h
-    p_c1 = _post_hot_population(g_h, g_c, sw_h)
+    p_c1 = (1.0 - g_h) / 2.0 + 0.5 * (1.0 - sw_h) * (g_h - g_c)
     p_a0 = p_c1 * (1.0 - sw_c) + (1.0 - g_c) / 2.0 * sw_c
     hot = (p_c1, wh * (g_c - g_h) * sw_h, wh * (2.0 * p_c1 - 1.0), (0.0, -0.0))
     cold = (p_a0, wc * (g_h - g_c) * sw_h * sw_c, wc * (2.0 * p_a0 - 1.0), (0.0, -0.0))
@@ -337,12 +333,16 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     wc, wh = config.omega_c, config.omega_h
     ph, pc = config.profile_h, config.profile_c
 
-    def contact(p_in: float, profile: CouplingProfile, omega: float, tau: float) -> tuple:
+    def contact(name: str, p_in: float, profile: CouplingProfile, omega: float,
+                tau: float) -> tuple:
         start = np.kron(np.diag([p_in, 1.0 - p_in]).astype(complex),
                         bath_thermal_matrix(profile.g))
         end, heat = start, 0.0
         if tau > 0.0:
-            end = oracle_propagate(QubitState(p=p_in), profile, omega, tau)
+            try:
+                end = oracle_propagate(QubitState(p=p_in), profile, omega, tau)
+            except IntegrationFailureError as exc:
+                raise IntegrationFailureError(f"{name} contact: {exc}") from exc
             heat = thermo.heat_into_system(np.array([start, end]), omega * linalg.SIGMA_Z)
         # f diverges at t = 0+; the end state's overlap with H_SB vanishes, so
         # any finite surrogate time serves the disconnection cost
@@ -351,9 +351,9 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
                 thermo.internal_energy(end, omega * linalg.SIGMA_Z, h_sb),
                 (0.0, thermo.connect_disconnect_work(h_sb, end, disconnect=True)))
 
-    hot = contact((1.0 - config.g_c) / 2.0, ph, wh, config.tau_h)
+    hot = contact("hot", (1.0 - config.g_c) / 2.0, ph, wh, config.tau_h)
     p_c1 = hot[0]
-    cold = contact(p_c1, pc, wc, config.tau_c)
+    cold = contact("cold", p_c1, pc, wc, config.tau_c)
     return _cycle(config, hot, cold, (wc - wh) * (2.0 * p_c1 - 1.0), None,
                   ph.thermal_weight(config.tau_h), pc.thermal_weight(config.tau_c))
 
@@ -369,27 +369,19 @@ def max_energy_deviation(a: CycleReport, b: CycleReport) -> float:
 
 def stroke_entropy_production_trace(config: CycleConfig, stroke: str,
                                     n_points: int = 100) -> np.ndarray:
-    """Entropy production sampled along one thermal contact, from the closed form."""
+    """Entropy production along one thermal contact at times tau k / n_points, k = 1..n:
+    the contact's Delta S_S - beta Q in the cycle whose contact stops there (the 4x4
+    relative entropy of ``joint_state_closed_form`` is its audit route)."""
     config.validate(need_profiles=True)
-    if stroke == "hot":
-        p_in = (1.0 - config.g_c) / 2.0
-        profile, omega, beta, tau = config.profile_h, config.omega_h, config.beta_h, config.tau_h
-    elif stroke == "cold":
-        p_in = _post_hot_population(config.g_h, config.g_c,
-                                    config.profile_h.thermal_weight(config.tau_h))
-        profile, omega, beta, tau = config.profile_c, config.omega_c, config.beta_c, config.tau_c
-    else:
+    if stroke not in ("hot", "cold"):
         raise ValueError(f"stroke must be 'hot' or 'cold', got {stroke!r}")
+    field = f"tau_{stroke[0]}"
+    tau = getattr(config, field)
     if tau <= 0.0:
         raise ValueError(f"{stroke} contact has zero duration")
     times = tau * np.arange(1, n_points + 1) / n_points
-    h_b = omega * linalg.SIGMA_Z
-    out = np.empty(n_points)
-    for k, t in enumerate(times):
-        rho = joint_state_closed_form(QubitState(p=p_in), profile.g, omega,
-                                      profile.phase(float(t)), float(t))
-        out[k] = thermo.entropy_production(rho, beta, h_b)
-    return out
+    return np.array([strong_cycle(replace(config, **{field: float(t)}))
+                     .strokes[f"{stroke}_contact"].entropy_production for t in times])
 
 
 SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "beta_c")

@@ -9,13 +9,15 @@ time-local master equation, the vectorized map/generator pair with its
 reshuffled form and CP-divisibility witness, and an independent ODE oracle
 that audits the closed forms.
 
-Two audit routes live here. The oracle integrates the complex joint state
-with DOP853 (8th-order Dormand-Prince) in one call, ``oracle_propagate``, at
-``TOL.oracle_rtol`` and ``TOL.oracle_atol``; each stroke may spend at most
-``ORACLE_RHS_BUDGET`` right-hand-side evaluations. The vectorized map, its
-derivative and its inverse are built by one helper from a 2x2 population
-block and a coherence factor, with the phase and the coupling each evaluated
-once per time.
+The 4x4 routes here audit the scalar closed forms of the CLI and ``cycle``.
+The oracle integrates the complex joint state with DOP853 (8th-order
+Dormand-Prince) in one call, ``oracle_propagate``, at ``TOL.oracle_rtol`` and
+``TOL.oracle_atol``; each stroke may spend at most ``ORACLE_RHS_BUDGET``
+right-hand-side evaluations. The vectorized map, its derivative and its
+inverse are built by one helper from a 2x2 population block and a coherence
+factor, with the phase and the coupling each evaluated once per time; their
+witness audits the CLI's witness column, and ``joint_state_closed_form`` the
+cycle's scalar entropy productions.
 
 scipy is imported only by the oracle: the module-level ``solve_ivp`` loads
 ``scipy.integrate`` on the first integration, so importing this module (and

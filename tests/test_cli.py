@@ -10,12 +10,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qotto.cli import load_cycle_config, main
 from qotto.cycle import NUMERIC_FIELDS, build_config, strong_cycle
-from qotto.errors import ConfigError
+from qotto.dynamics import cp_divisibility_witness, vectorized_reps
+from qotto.errors import ConfigError, SingularGeneratorError
+from qotto.profiles import MarkovianProfile, NonMarkovianProfile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -91,6 +94,42 @@ class TestWitnessScan:
         for gamma, wmin in zip(gammas, wmins):
             closed = min(0.0, 1.8 * gamma, 0.2 * gamma)
             assert abs(wmin - closed) <= 1e-9 * max(1.0, abs(gamma))
+
+    @pytest.mark.parametrize("argv", [["--g", "0.8", "--t-max", "2", "--points", "2000"],
+                                      ["--g", "0.8", "--t-max", "60", "--points", "2000"]],
+                             ids=["readme", "past-the-singular-phase"])
+    def test_needs_no_maps_or_eigensolves(self, argv, tmp_path, monkeypatch):
+        from qotto import cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the witness scan must stay on scalars")
+        monkeypatch.setattr(cli, "vectorized_reps", forbidden)
+        monkeypatch.setattr(cli, "cp_divisibility_witness", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert run(["witness", *argv, "--out", str(tmp_path / "scan.csv")]) == 0
+
+    @pytest.mark.parametrize("profile", [MarkovianProfile, NonMarkovianProfile])
+    def test_matches_the_audit_witness(self, profile, tmp_path):
+        # the 4x4 witness of the library, at the scan's omega = 1, wherever the map
+        # is invertible
+        out = tmp_path / "scan.csv"
+        assert run(["witness", "--g", "0.8", "--t-max", "3", "--points", "300",
+                    "--out", str(out)]) == 0
+        meta, header, rows = read_csv(out)
+        assert float(meta["omega"]) == 1.0
+        name = "markovian" if profile is MarkovianProfile else "nonmarkovian"
+        reference = profile(g=0.8)
+        checked = 0
+        for t, gamma, wmin in zip(column(header, rows, "t"),
+                                  column(header, rows, f"gamma_{name}"),
+                                  column(header, rows, f"witness_min_eig_{name}")):
+            try:
+                _, evals = cp_divisibility_witness(vectorized_reps(reference, 1.0, t))
+            except SingularGeneratorError:
+                continue
+            assert abs(wmin - float(evals.min())) <= 1e-9 * max(1.0, abs(gamma))
+            checked += 1
+        assert checked >= 250
 
     def test_empty_range_is_usage_error(self):
         assert run(["witness", "--t-max", "0", "--points", "100"]) == 1
@@ -369,15 +408,17 @@ class TestExitCodes:
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
 
-    def test_oracle_budget_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bath", ["hot", "cold"])
+    def test_oracle_budget_exits_two(self, bath, tmp_path, capsys):
         from qotto.dynamics import ORACLE_RHS_BUDGET
         start = time.perf_counter()
-        code = run(["cycle", "--oracle", "--set", "profile_h=nonmarkovian",
-                    "--set", "tau_h=1e200", "--out", str(tmp_path / "c.csv")])
+        code = run(["cycle", "--oracle", "--set", f"profile_{bath[0]}=nonmarkovian",
+                    "--set", f"tau_{bath[0]}=1e200", "--out", str(tmp_path / "c.csv")])
         elapsed = time.perf_counter() - start
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and f"budget of {ORACLE_RHS_BUDGET}" in err
+        assert err.startswith(f"runtime error: {bath} contact: ")
         assert elapsed < 20.0  # about 2 s; unbounded before the budget
 
     def test_oracle_mismatch_exits_three(self, capsys, monkeypatch):
@@ -407,6 +448,12 @@ class TestExitCodes:
         assert run(["sweep", "--sweep", "tau_h:a:b:3"]) == 1
         assert capsys.readouterr().err == (
             "config error: --sweep bounds must be numeric, got 'tau_h:a:b:3'\n")
+
+    @pytest.mark.parametrize("count", ["1e3", "2.5"])
+    def test_non_integer_sweep_count(self, count, capsys):
+        assert run(["sweep", "--sweep", f"tau_h:0:1:{count}"]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: --sweep count must be an integer, got '{count}'\n")
 
     def test_oracle_answers_cold_bath(self, tmp_path):
         # the cold bath's upper level rounds to zero: the oracle's entropy

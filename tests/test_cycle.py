@@ -258,13 +258,16 @@ class TestStrongCycle:
                 assert report.cop <= report.carnot_cop + 1e-12
 
     def test_entropy_production_traces_nonnegative(self):
-        # each trace ends at its contact's end, where it is the cycle's sigma
-        for params in (ENGINE, FRIDGE):
+        # each trace ends at its contact's end, where it is the cycle's sigma; at
+        # beta_c = 30 the cold bath's upper level rounds to zero, where the 4x4
+        # relative entropy diverges and the scalar Delta S_S - beta Q does not
+        for params in (ENGINE, FRIDGE, dict(ENGINE, beta_c=30.0)):
             config = build_config(**params, tau_h=2.0, tau_c=2.0)
             report = strong_cycle(config)
             for stroke in ("hot", "cold"):
                 trace = stroke_entropy_production_trace(config, stroke, n_points=30)
-                assert trace.min() >= -1e-8
+                assert np.all(np.isfinite(trace))
+                assert trace.min() >= TOL.entropy_production_floor
                 sigma = report.strokes[f"{stroke}_contact"].entropy_production
                 assert trace[-1] == pytest.approx(sigma, rel=0.0, abs=1e-9)
 
@@ -317,7 +320,7 @@ class TestScalarRoute:
         from qotto import cycle as cycle_mod
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("strong_cycle must stay on scalars")
+            raise AssertionError("strong_cycle and the entropy trace must stay on scalars")
         monkeypatch.setattr(thermo, "entropy_production", forbidden)
         monkeypatch.setattr(thermo, "connect_disconnect_work", forbidden)
         monkeypatch.setattr(cycle_mod, "joint_state_closed_form", forbidden)
@@ -333,6 +336,8 @@ class TestScalarRoute:
             report = strong_cycle(config)
             assert all(ok for _, ok in report.law_audits().values())
             assert report.strokes["hot_contact"].entropy_production > 0.0
+            for stroke in ("hot", "cold"):
+                assert stroke_entropy_production_trace(config, stroke, n_points=20).min() > 0.0
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(valid_configs())
@@ -376,6 +381,43 @@ class TestScalarRoute:
                       report.strokes["cold_contact"].entropy_production)
             for sigma, audit in zip(sigmas, _audit_sigmas(config, math.pi / 2, math.pi / 2)):
                 assert sigma == pytest.approx(audit, rel=0.0, abs=1e-9)
+
+
+class TestEntropyProductionTrace:
+    @pytest.mark.parametrize("kind", ["markovian", "nonmarkovian", "tabulated"])
+    def test_matches_the_audit_route(self, kind, tmp_path):
+        # each sample against the 4x4 relative entropy of the closed-form joint
+        # state at the same time
+        kind = tabulated_spec(tmp_path) if kind == "tabulated" else kind
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            params = dict(omega_c=rng.uniform(0.5, 2.0), beta_h=rng.uniform(0.1, 1.0))
+            params.update(omega_h=params["omega_c"] * rng.uniform(1.2, 3.0),
+                          beta_c=params["beta_h"] * rng.uniform(1.2, 4.0))
+            config = build_config(**params, tau_h=rng.uniform(0.2, 3.0),
+                                  tau_c=rng.uniform(0.2, 3.0), kind_h=kind)
+            ph, pc = config.profile_h, config.profile_c
+            n = 25
+            for stroke in ("hot", "cold"):
+                trace = stroke_entropy_production_trace(config, stroke, n_points=n)
+                tau = getattr(config, f"tau_{stroke[0]}")
+                for k, sigma in enumerate(trace, start=1):
+                    t = tau * k / n
+                    if stroke == "hot":
+                        audit = _audit_sigmas(replace(config, tau_h=t), ph.phase(t),
+                                              pc.phase(config.tau_c))[0]
+                    else:
+                        audit = _audit_sigmas(replace(config, tau_c=t),
+                                              ph.phase(config.tau_h), pc.phase(t))[1]
+                    assert audit is not None
+                    assert sigma == pytest.approx(audit, rel=0.0, abs=1e-9)
+
+    def test_rejects_bad_stroke_and_zero_duration(self):
+        config = build_config(**ENGINE, tau_h=2.0, tau_c=0.0)
+        with pytest.raises(ValueError, match="stroke must be 'hot' or 'cold'"):
+            stroke_entropy_production_trace(config, "warm")
+        with pytest.raises(ValueError, match="cold contact has zero duration"):
+            stroke_entropy_production_trace(config, "cold")
 
 
 class TestOraclePath:
