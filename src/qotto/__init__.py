@@ -7,9 +7,9 @@ strong-coupling thermodynamic bookkeeping, and full four-stroke Otto cycles
 in weak-coupling baseline, Markovian, and non-Markovian variants.
 """
 
-from .cycle import (CycleConfig, CycleReport, build_config, classify_regime,
+from .cycle import (CycleConfig, CycleReport, CycleSweep, build_config, classify_regime,
                     max_energy_deviation, stroke_entropy_production_trace,
-                    strong_cycle, strong_cycle_via_oracle, weak_cycle)
+                    strong_cycle, strong_cycle_sweep, strong_cycle_via_oracle, weak_cycle)
 from .dynamics import (QubitState, VectorizedRep, cp_divisibility_witness,
                        joint_state, joint_state_closed_form, master_equation_rhs,
                        oracle_propagate, reduced_state, total_hamiltonian,

@@ -7,6 +7,9 @@ Commands
 * ``cycle``    -- one strongly coupled cycle: per-stroke CSV plus a summary.
 * ``sweep``    -- grid over one cycle parameter, one CSV row per point.
 
+``dynamics``, ``witness`` and ``sweep`` evaluate the closed forms once, on
+their whole grid of times or parameter values.
+
 Output is CSV with '#'-prefixed metadata lines, decimal serialization at 17
 significant digits. Exit codes: 0 success, 1 usage/config error, 2
 runtime/I-O error, 3 audit failure. ``QOTTO_OUT_DIR`` supplies the default
@@ -20,18 +23,20 @@ import json
 import math
 import os
 import sys
-from operator import attrgetter
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .cycle import (NUMERIC_FIELDS, SWEEP_AXES, CycleConfig, CycleReport, apply_axis,
-                    build_config, max_energy_deviation, strong_cycle,
+from .cycle import (NUMERIC_FIELDS, SWEEP_AXES, CycleConfig, CycleReport, build_config,
+                    max_energy_deviation, strong_cycle, strong_cycle_sweep,
                     strong_cycle_via_oracle, STROKE_ORDER)
-from .errors import ConfigError, QottoError, SingularGeneratorError
-from .profiles import profile_from_spec, rate_gamma
+from .errors import ConfigError, QottoError
+from .profiles import profile_from_spec, time_grid
 # perfbench/tracing.py wraps these here, tests/test_perfbench_bindings.py pins them; ROADMAP item 3 removes them
+from .cycle import apply_axis
 from .dynamics import cp_divisibility_witness, vectorized_reps
+from .profiles import rate_gamma
 from .tolerances import TOL
 
 EXIT_OK = 0
@@ -52,13 +57,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _quote(value: str) -> str:
+    """A string cell, quoted as in RFC 4180 where it holds a comma, a quote or a line break."""
+    if "," in value or '"' in value or "\n" in value or "\r" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, str) and ("," in value or '"' in value or "\n" in value
-                                   or "\r" in value):
-        return '"' + value.replace('"', '""') + '"'  # quoted as in RFC 4180
-    return str(value)
+    return _quote(value) if isinstance(value, str) else str(value)
+
+
+def _row_format(row) -> tuple[str, list[int]]:
+    """printf format of a CSV row ('%.17g' per float cell, '%s' per other cell) and the
+    positions of its string cells."""
+    fmt = ",".join("%.17g" if isinstance(cell, float) else "%s" for cell in row) + "\n"
+    return fmt, [k for k, cell in enumerate(row) if isinstance(cell, str)]
 
 
 def _resolve_out(path: str | None):
@@ -71,15 +87,24 @@ def _resolve_out(path: str | None):
     return path
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list],
+def _write_csv(path: str | None, header: list[str], rows: Iterable[Sequence],
                metadata: dict) -> None:
     def emit(stream):
         stream.write(f"# qotto {__version__}\n")
         for key, value in metadata.items():
             stream.write(f"# {key} = {_fmt(value)}\n")
         stream.write(",".join(header) + "\n")
+        formats = {}  # cell types of a row -> its format; a table has one or two
         for row in rows:
-            stream.write(",".join(_fmt(cell) for cell in row) + "\n")
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = _row_format(row)
+            fmt, strings = formats[kinds]
+            if strings:
+                row = list(row)
+                for k in strings:
+                    row[k] = _quote(row[k])
+            stream.write(fmt % tuple(row))
 
     if path is None:
         emit(sys.stdout)
@@ -148,17 +173,22 @@ def _check_scan(args) -> None:
         raise ConfigError([f"--points must be >= 2, got {args.points}"])
 
 
+def _columns_csv(columns: list) -> Iterable[tuple]:
+    """CSV rows from equal-length columns: ndarrays, lists or ranges."""
+    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+
+
 def run_power_trace(args) -> int:
     """Thermalization-weight trace sin^2 F(t) for both analytic profiles."""
     _check_scan(args)
-    profiles = [profile_from_spec(name, args.g) for name in _ANALYTIC_PROFILES]
-    rows = []
-    for t in np.linspace(0.0, args.t_max, args.points):
-        rows.append([float(t)] + [profile.thermal_weight(float(t)) for profile in profiles])
+    ts = np.linspace(0.0, args.t_max, args.points)
+    with np.errstate(over="ignore"):  # intermediate terms overflow near the float maximum
+        columns = [ts] + [profile_from_spec(name, args.g).thermal_weight(ts)
+                          for name in _ANALYTIC_PROFILES]
     meta = {"command": "dynamics", "g": args.g, "t_max": args.t_max,
             "points": args.points, "seed": args.seed}
     _write_csv(_resolve_out(args.out), ["t", "p_ratio_markovian", "p_ratio_nonmarkovian"],
-               rows, meta)
+               _columns_csv(columns), meta)
     return EXIT_OK
 
 
@@ -166,35 +196,22 @@ def run_witness_scan(args) -> int:
     """Rate and CP-divisibility witness scan over (0, t_max] for both profiles."""
     _check_scan(args)
     omega = 1.0  # the projected witness spectrum does not depend on omega
-    profiles = [profile_from_spec(name, args.g) for name in _ANALYTIC_PROFILES]
-    header = ["t"]
+    header, ts = ["t"], time_grid(args.t_max, args.points)
+    columns = [ts]
     for name in _ANALYTIC_PROFILES:
+        profile = profile_from_spec(name, args.g)
+        with np.errstate(over="ignore"):  # intermediate terms overflow near the float maximum
+            f, phase, gamma = profile.f(ts), profile.phase(ts), profile.rate(ts)
+        # the projected witness is diag(0, (1+g) gamma, (1-g) gamma, 0)
+        # (PRL 105, 050403); cp_divisibility_witness is its 4x4 audit route
+        wmin = np.minimum(np.minimum(0.0, (1.0 + profile.g) * gamma), (1.0 - profile.g) * gamma)
+        flag = np.where(np.isnan(gamma), -1, gamma >= TOL.rate_floor)  # -1: map singular
         header += [f"f_{name}", f"F_{name}", f"gamma_{name}",
                    f"markovian_flag_{name}", f"witness_min_eig_{name}"]
-    rows = []
-    k = np.arange(1, args.points + 1)
-    with np.errstate(over="ignore"):  # t_max * k overflows for t_max near the float maximum
-        ts = args.t_max * k / args.points
-    ts = np.where(np.isfinite(ts), ts, args.t_max / args.points * k)
-    for t_raw in ts:
-        t = float(t_raw)
-        row = [t]
-        for profile in profiles:
-            try:
-                gamma = rate_gamma(profile, t)
-                # the projected witness is diag(0, (1+g) gamma, (1-g) gamma, 0)
-                # (PRL 105, 050403); cp_divisibility_witness is its 4x4 audit route
-                wmin = min(0.0, (1.0 + profile.g) * gamma, (1.0 - profile.g) * gamma)
-            except SingularGeneratorError:
-                gamma = math.nan
-                wmin = math.nan
-            row += [profile.f(t), profile.phase(t), gamma,
-                    int(gamma >= TOL.rate_floor) if not math.isnan(gamma) else -1,
-                    wmin]
-        rows.append(row)
+        columns += [f, phase, gamma, flag, wmin]
     meta = {"command": "witness", "g": args.g, "t_max": args.t_max,
             "points": args.points, "omega": omega, "seed": args.seed}
-    _write_csv(_resolve_out(args.out), header, rows, meta)
+    _write_csv(_resolve_out(args.out), header, _columns_csv(columns), meta)
     return EXIT_OK
 
 
@@ -273,17 +290,18 @@ def run_cycle(args) -> int:
     return EXIT_OK
 
 
-# sweep metric columns in CSV order, each with the report value it holds
-_SWEEP_METRICS = (
-    ("work", attrgetter("work_total")),
-    *((name, attrgetter(name)) for name in (
+# sweep metric columns in CSV order, each with the sweep metric it holds; a stroke
+# name stands for the stroke's work
+_SWEEP_METRICS = {
+    "work": "work_total",
+    **{name: name for name in (
         "heat_hot", "heat_cold", "eta", "power", "kappa", "cop", "eta0", "power0", "kappa0",
-        "cop0", "carnot_eta", "carnot_cop", "thermal_weight_hot", "thermal_weight_cold")),
-    *((f"w_{stroke}", lambda report, stroke=stroke: report.strokes[stroke].work)
-      for stroke in ("connect_hot", "disconnect_hot", "connect_cold", "disconnect_cold")),
-    ("cyclicity_residual", attrgetter("cyclicity_residual")),
-    ("energy_residual", attrgetter("energy_residual")),
-)
+        "cop0", "carnot_eta", "carnot_cop", "thermal_weight_hot", "thermal_weight_cold")},
+    **{f"w_{stroke}": stroke
+       for stroke in ("connect_hot", "disconnect_hot", "connect_cold", "disconnect_cold")},
+    "cyclicity_residual": "cyclicity_residual",
+    "energy_residual": "energy_residual",
+}
 
 
 def run_sweep(args) -> int:
@@ -310,21 +328,15 @@ def run_sweep(args) -> int:
         raise ConfigError([f"--sweep bounds must be finite, got '{args.sweep}'"])
 
     base, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
-    values = np.linspace(lo, hi, count)
-    header = ["index", axis, "valid", "regime"] + [name for name, _ in _SWEEP_METRICS] + ["error"]
-    rows = []
-    for index, value in enumerate(values):
-        try:
-            config = apply_axis(base, axis, float(value))
-            report = strong_cycle(config)
-            rows.append([index, float(value), 1, report.regime]
-                        + [metric(report) for _, metric in _SWEEP_METRICS] + [""])
-        except (ConfigError, ValueError, QottoError) as exc:
-            rows.append([index, float(value), 0, "skipped"]
-                        + [math.nan] * len(_SWEEP_METRICS) + [str(exc)])
+    sweep = strong_cycle_sweep(base, axis, np.linspace(lo, hi, count))
+    metrics = {**sweep.metrics, **{name: ledger.work for name, ledger in sweep.strokes.items()}}
+    header = ["index", axis, "valid", "regime", *_SWEEP_METRICS, "error"]
+    columns = [range(count), sweep.values, sweep.valid.astype(int),
+               np.where(sweep.valid, sweep.metrics["regime"], "skipped"),
+               *(metrics[key] for key in _SWEEP_METRICS.values()), sweep.errors]
     meta = {"command": "sweep", "axis": axis, "lo": lo, "hi": hi, "count": count,
             "seed": args.seed, **config_meta}
-    _write_csv(_resolve_out(args.out), header, rows, meta)
+    _write_csv(_resolve_out(args.out), header, _columns_csv(columns), meta)
     return EXIT_OK
 
 

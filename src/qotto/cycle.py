@@ -13,8 +13,13 @@ The weak-coupling cycle is the same closed form at sin^2 F_h = sin^2 F_c = 1,
 so one routine evaluates both.
 
 The closed-form and oracle routes share one cycle skeleton (``_cycle``): the
-quenches, the entropy productions, the stroke ledger and the metrics. They
+quenches, the entropy productions, the stroke energies and the metrics. They
 differ only in their two contacts, which the oracle integrates numerically.
+The skeleton and the closed forms work elementwise on a float or an ndarray
+per parameter: ``strong_cycle_sweep`` evaluates a whole grid over one swept
+parameter at once, and ``strong_cycle``, ``weak_cycle`` and
+``strong_cycle_via_oracle`` are its one-point case. ``_report`` alone builds the
+stroke ledger and the report, from one point's values.
 
 Partial thermalization in the final stroke breaks exact cyclicity; the
 report carries the residual instead of silently assuming closure.
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +39,8 @@ from .dynamics import (ORACLE_T_START, QubitState, bath_thermal_matrix,
                        coupling_hamiltonian, oracle_propagate)
 # perfbench/tracing.py wraps this here, tests/test_perfbench_bindings.py pins it; ROADMAP item 3 removes it
 from .dynamics import joint_state_closed_form
-from .errors import ConfigError, IntegrationFailureError, UndefinedPowerError
-from .profiles import CouplingProfile, profile_from_spec
+from .errors import ConfigError, IntegrationFailureError, QottoError, UndefinedPowerError
+from .profiles import CouplingProfile, profile_from_spec, time_grid
 from .thermo import EnergyLedger
 from .tolerances import TOL
 
@@ -72,11 +78,11 @@ class CycleConfig:
 
     @property
     def g_c(self) -> float:
-        return math.tanh(self.beta_c * self.omega_c)
+        return float(np.tanh(self.beta_c * self.omega_c))
 
     @property
     def g_h(self) -> float:
-        return math.tanh(self.beta_h * self.omega_h)
+        return float(np.tanh(self.beta_h * self.omega_h))
 
     @property
     def tau(self) -> float:
@@ -112,8 +118,8 @@ class CycleConfig:
             out.append("the total duration tau_u1 + tau_h + tau_u2 + tau_c must be "
                        f"finite, got {sum(durations)}")
         if need_profiles:
-            for name, profile, g in (("profile_h", self.profile_h, math.tanh(beta_h * omega_h)),
-                                     ("profile_c", self.profile_c, math.tanh(beta_c * omega_c))):
+            for name, profile, g in (("profile_h", self.profile_h, np.tanh(beta_h * omega_h)),
+                                     ("profile_c", self.profile_c, np.tanh(beta_c * omega_c))):
                 if profile is None:
                     out.append(f"{name} is required for the strongly coupled cycle")
                 elif abs(profile.g - g) > TOL.profile_g_match:
@@ -124,6 +130,19 @@ class CycleConfig:
         problems = self.problems(need_profiles)
         if problems:
             raise ConfigError(problems)
+
+
+def _fields_valid(fields: dict) -> np.ndarray:
+    """``problems() == []`` elementwise, over float arrays of the ``NUMERIC_FIELDS``;
+    the tests hold the two to each other."""
+    omega_c, omega_h, beta_c, beta_h, *durations = (fields[name] for name in NUMERIC_FIELDS)
+    ok = (omega_c > 0.0) & (omega_h > omega_c) & (beta_h >= 0.0) & (beta_c > beta_h)
+    for name in NUMERIC_FIELDS:
+        ok &= np.isfinite(fields[name])
+    for tau in durations:
+        ok &= tau >= 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite total is a problem
+        return ok & np.isfinite(durations[0] + durations[1] + durations[2] + durations[3])
 
 
 def _require_fields(config: CycleConfig, *more: str) -> None:
@@ -209,26 +228,51 @@ class CycleReport:
         return out
 
 
-def classify_regime(heat_hot: float, heat_cold: float, work: float) -> str:
-    """Sign-based classification: engine absorbs hot heat and outputs work."""
-    if heat_hot > 0.0 and heat_cold < 0.0 and work < 0.0:
-        return "engine"
-    if heat_hot < 0.0 and heat_cold > 0.0 and work > 0.0:
-        return "refrigerator"
-    return "other"
+def classify_regime(heat_hot, heat_cold, work):
+    """Sign-based classification, elementwise: engine absorbs hot heat and outputs work."""
+    engine = (heat_hot > 0.0) & (heat_cold < 0.0) & (work < 0.0)
+    refrigerator = (heat_hot < 0.0) & (heat_cold > 0.0) & (work > 0.0)
+    return np.where(engine, "engine", np.where(refrigerator, "refrigerator", "other"))[()]
 
 
-def _binary_entropy(p: float) -> float:
-    """Entropy of a diagonal qubit state with populations p and 1 - p."""
+def _binary_entropy(p):
+    """Entropy of diagonal qubit states with populations p and 1 - p."""
     s = 0.0
     for q in (p, 1.0 - p):
-        if q > TOL.entropy_eig_floor:
-            s -= q * math.log(q)
+        q = np.where(q > TOL.entropy_eig_floor, q, 1.0)  # an exact zero adds 1 log 1 = 0
+        s = s - q * np.log(q)
     return s
 
 
-def _cycle(config: CycleConfig, hot: tuple, cold: tuple, w_cd: float,
-           work: float | None, sw_h: float, sw_c: float) -> CycleReport:
+class _Params(NamedTuple):
+    """What the closed forms read of a config: each entry a float, or an ndarray of grid rows."""
+
+    omega_c: float | np.ndarray
+    omega_h: float | np.ndarray
+    beta_c: float | np.ndarray
+    beta_h: float | np.ndarray
+    g_c: float | np.ndarray
+    g_h: float | np.ndarray
+    tau: float | np.ndarray
+
+    @classmethod
+    def of(cls, config: CycleConfig) -> _Params:
+        return cls(config.omega_c, config.omega_h, config.beta_c, config.beta_h,
+                   config.g_c, config.g_h, config.tau)
+
+
+class LedgerColumns(NamedTuple):
+    """One stroke's ledger entries, as in ``EnergyLedger``: each a float or an ndarray."""
+
+    work: float | np.ndarray
+    heat: float | np.ndarray
+    internal_energy_initial: float | np.ndarray
+    internal_energy_final: float | np.ndarray
+    entropy_production: float | np.ndarray
+
+
+def _cycle(c: _Params, hot: tuple, cold: tuple, w_cd, work, sw_h,
+           sw_c) -> tuple[dict, dict]:
     """The cycle around a hot and a cold contact of thermal weights sw_h and sw_c.
 
     Each contact is ``(p_end, heat, energy_end, (w_connect, w_disconnect))``:
@@ -243,48 +287,62 @@ def _cycle(config: CycleConfig, hot: tuple, cold: tuple, w_cd: float,
     (Esposito, Lindenberg and Van den Broeck, NJP 12, 013013 (2010)) on both
     routes; the oracle's 4x4 relative entropy would diverge numerically once
     the bath's upper level rounds to zero.
+
+    Every value is a float or an ndarray, taken elementwise. Returns each
+    ``CycleReport`` metric by name, and each stroke's ``LedgerColumns`` by name.
     """
-    wc, wh = config.omega_c, config.omega_h
-    g_c, g_h = config.g_c, config.g_h
-    p_c1, q_h, e_c1, (w_con_h, w_dis_h) = hot
-    p_a0, q_c, e_a0, (w_con_c, w_dis_c) = cold
-    w_ab = (wc - wh) * g_c
-    e_b = -wh * g_c
-    e_d = wc * (2.0 * p_c1 - 1.0)
-    work = w_ab + w_cd if work is None else work
+    # np.where evaluates both branches: the unguarded one may divide by zero or overflow
+    with np.errstate(all="ignore"):
+        wc, wh = c.omega_c, c.omega_h
+        g_c, g_h = c.g_c, c.g_h
+        p_c1, q_h, e_c1, (w_con_h, w_dis_h) = hot
+        p_a0, q_c, e_a0, (w_con_c, w_dis_c) = cold
+        w_ab = (wc - wh) * g_c
+        e_b = -wh * g_c
+        e_d = wc * (2.0 * p_c1 - 1.0)
+        work = w_ab + w_cd if work is None else work
 
-    s_a1, s_c1 = _binary_entropy((1.0 - g_c) / 2.0), _binary_entropy(p_c1)
-    sigma_h = s_c1 - s_a1 - config.beta_h * q_h if sw_h > 0.0 else 0.0
-    sigma_c = _binary_entropy(p_a0) - s_c1 - config.beta_c * q_c if sw_c > 0.0 else 0.0
-    strokes = {
-        "quench_up": EnergyLedger(w_ab, 0.0, -wc * g_c, e_b),
-        "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h),
-        "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
-        "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h),
-        "quench_down": EnergyLedger(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h),
-        "connect_cold": EnergyLedger(w_con_c, 0.0, e_d, e_d + w_con_c),
-        "cold_contact": EnergyLedger(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
-        "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c),
-    }
+        s_a1, s_c1 = _binary_entropy((1.0 - g_c) / 2.0), _binary_entropy(p_c1)
+        sigma_h = np.where(sw_h > 0.0, s_c1 - s_a1 - c.beta_h * q_h, 0.0)
+        sigma_c = np.where(sw_c > 0.0, _binary_entropy(p_a0) - s_c1 - c.beta_c * q_c, 0.0)
+        strokes = {
+            "quench_up": LedgerColumns(w_ab, 0.0, -wc * g_c, e_b, 0.0),
+            "connect_hot": LedgerColumns(w_con_h, 0.0, e_b, e_b + w_con_h, 0.0),
+            "hot_contact": LedgerColumns(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
+            "disconnect_hot": LedgerColumns(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h, 0.0),
+            "quench_down": LedgerColumns(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h, 0.0),
+            "connect_cold": LedgerColumns(w_con_c, 0.0, e_d, e_d + w_con_c, 0.0),
+            "cold_contact": LedgerColumns(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
+            "disconnect_cold": LedgerColumns(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c, 0.0),
+        }
 
-    tau = config.tau
+        tau = c.tau
 
-    def per_time(x: float) -> float:
-        return x / tau if tau > 0.0 else math.nan
+        def per_time(x):
+            return np.where(tau > 0.0, np.divide(x, tau), math.nan)
 
-    w0 = (wc - wh) * (g_c - g_h)
-    carnot_cop = config.beta_h / (config.beta_c - config.beta_h) if config.beta_h > 0.0 else 0.0
+        w0 = (wc - wh) * (g_c - g_h)
+        carnot_cop = np.where(c.beta_h > 0.0, c.beta_h / (c.beta_c - c.beta_h), 0.0)
+        metrics = dict(
+            work_total=work, heat_hot=q_h, heat_cold=q_c,
+            tau=tau, thermal_weight_hot=sw_h, thermal_weight_cold=sw_c,
+            eta=np.where(q_h != 0.0, np.divide(-work, q_h), math.nan),
+            power=per_time(-work), kappa=per_time(q_c),
+            cop=np.where(work != 0.0, np.divide(q_c, work), math.nan),
+            regime=classify_regime(q_h, q_c, work),
+            eta0=1.0 - wc / wh, power0=per_time(-w0), kappa0=per_time(wc * (g_h - g_c)),
+            cop0=wc / (wh - wc), carnot_eta=1.0 - c.beta_h / c.beta_c,
+            carnot_cop=carnot_cop, cyclicity_residual=abs(p_a0 - (1.0 - g_c) / 2.0),
+            energy_residual=work + q_h + q_c)
+    return metrics, strokes
+
+
+def _report(config: CycleConfig, metrics: dict, strokes: dict) -> CycleReport:
+    """The report of one point of ``_cycle``: the one place a stroke ledger is built."""
     return CycleReport(
-        config=config, strokes=strokes, work_total=work, heat_hot=q_h, heat_cold=q_c,
-        tau=tau, thermal_weight_hot=sw_h, thermal_weight_cold=sw_c,
-        eta=-work / q_h if q_h != 0.0 else math.nan,
-        power=per_time(-work), kappa=per_time(q_c),
-        cop=q_c / work if work != 0.0 else math.nan,
-        regime=classify_regime(q_h, q_c, work),
-        eta0=1.0 - wc / wh, power0=per_time(-w0), kappa0=per_time(wc * (g_h - g_c)),
-        cop0=wc / (wh - wc), carnot_eta=1.0 - config.beta_h / config.beta_c,
-        carnot_cop=carnot_cop, cyclicity_residual=abs(p_a0 - (1.0 - g_c) / 2.0),
-        energy_residual=work + q_h + q_c)
+        config=config, regime=str(metrics["regime"]),
+        strokes={name: EnergyLedger(*map(float, strokes[name])) for name in STROKE_ORDER},
+        **{name: float(value) for name, value in metrics.items() if name != "regime"})
 
 
 def weak_cycle(config: CycleConfig) -> CycleReport:
@@ -292,30 +350,32 @@ def weak_cycle(config: CycleConfig) -> CycleReport:
     config.validate(need_profiles=False)
     if config.tau <= 0.0:
         raise UndefinedPowerError("power is undefined for a cycle of zero total duration")
-    return _closed_form_cycle(config, 1.0, 1.0)
+    return _report(config, *_closed_form_cycle(_Params.of(config), 1.0, 1.0))
 
 
 def strong_cycle(config: CycleConfig) -> CycleReport:
-    """Strongly coupled cycle evaluated from the closed-form stroke scalars."""
+    """Strongly coupled cycle evaluated from the closed-form stroke scalars: the
+    one-point case of ``strong_cycle_sweep``."""
     config.validate(need_profiles=True)
-    return _closed_form_cycle(config, config.profile_h.thermal_weight(config.tau_h),
-                              config.profile_c.thermal_weight(config.tau_c))
+    return _report(config, *_closed_form_cycle(
+        _Params.of(config), config.profile_h.thermal_weight(config.tau_h),
+        config.profile_c.thermal_weight(config.tau_c)))
 
 
-def _closed_form_cycle(config: CycleConfig, sw_h: float, sw_c: float) -> CycleReport:
-    """The cycle whose hot and cold contacts have thermal weights sw_h and sw_c.
+def _closed_form_cycle(c: _Params, sw_h, sw_c) -> tuple[dict, dict]:
+    """The metrics and strokes of the cycle whose contacts have thermal weights sw_h and sw_c.
 
     Every closed-form joint state has a purely imaginary exchange coherence
     rho[1,2], so the coupling costs 2 f Re rho[1,2] vanish exactly.
     """
-    wc, wh = config.omega_c, config.omega_h
-    g_c, g_h = config.g_c, config.g_h
+    wc, wh = c.omega_c, c.omega_h
+    g_c, g_h = c.g_c, c.g_h
     p_c1 = (1.0 - g_h) / 2.0 + 0.5 * (1.0 - sw_h) * (g_h - g_c)
     p_a0 = p_c1 * (1.0 - sw_c) + (1.0 - g_c) / 2.0 * sw_c
     hot = (p_c1, wh * (g_c - g_h) * sw_h, wh * (2.0 * p_c1 - 1.0), (0.0, -0.0))
     cold = (p_a0, wc * (g_h - g_c) * sw_h * sw_c, wc * (2.0 * p_a0 - 1.0), (0.0, -0.0))
     w_cd = (wh - wc) * (g_h - (1.0 - sw_h) * (g_h - g_c))
-    return _cycle(config, hot, cold, w_cd, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c)
+    return _cycle(c, hot, cold, w_cd, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c)
 
 
 def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
@@ -354,8 +414,9 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     hot = contact("hot", (1.0 - config.g_c) / 2.0, ph, wh, config.tau_h)
     p_c1 = hot[0]
     cold = contact("cold", p_c1, pc, wc, config.tau_c)
-    return _cycle(config, hot, cold, (wc - wh) * (2.0 * p_c1 - 1.0), None,
-                  ph.thermal_weight(config.tau_h), pc.thermal_weight(config.tau_c))
+    return _report(config, *_cycle(_Params.of(config), hot, cold, (wc - wh) * (2.0 * p_c1 - 1.0),
+                                   None, ph.thermal_weight(config.tau_h),
+                                   pc.thermal_weight(config.tau_c)))
 
 
 def max_energy_deviation(a: CycleReport, b: CycleReport) -> float:
@@ -370,18 +431,18 @@ def max_energy_deviation(a: CycleReport, b: CycleReport) -> float:
 def stroke_entropy_production_trace(config: CycleConfig, stroke: str,
                                     n_points: int = 100) -> np.ndarray:
     """Entropy production along one thermal contact at times tau k / n_points, k = 1..n:
-    the contact's Delta S_S - beta Q in the cycle whose contact stops there (the 4x4
-    relative entropy of ``joint_state_closed_form`` is its audit route)."""
+    the contact's Delta S_S - beta Q in the cycle whose contact stops there, one
+    ``strong_cycle_sweep`` over the contact's duration (the 4x4 relative entropy of
+    ``joint_state_closed_form`` is its audit route)."""
     config.validate(need_profiles=True)
     if stroke not in ("hot", "cold"):
         raise ValueError(f"stroke must be 'hot' or 'cold', got {stroke!r}")
-    field = f"tau_{stroke[0]}"
-    tau = getattr(config, field)
+    axis = f"tau_{stroke[0]}"
+    tau = getattr(config, axis)
     if tau <= 0.0:
         raise ValueError(f"{stroke} contact has zero duration")
-    times = tau * np.arange(1, n_points + 1) / n_points
-    return np.array([strong_cycle(replace(config, **{field: float(t)}))
-                     .strokes[f"{stroke}_contact"].entropy_production for t in times])
+    sweep = strong_cycle_sweep(config, axis, time_grid(tau, n_points))
+    return sweep.strokes[f"{stroke}_contact"].entropy_production
 
 
 SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "beta_c")
@@ -403,10 +464,92 @@ def apply_axis(config: CycleConfig, axis: str, value: float) -> CycleConfig:
         if not 0.0 < value < 1.0:
             raise ConfigError([f"{axis} must lie in (0, 1), got {value}"])
         omega = getattr(config, f"omega_{bath}")
-        cfg = replace(config, **{f"beta_{bath}": math.atanh(value) / omega})
+        cfg = replace(config, **{f"beta_{bath}": float(np.arctanh(value)) / omega})
     else:
         raise ConfigError([f"unknown sweep axis '{axis}'"])
     _require_fields(cfg)
     profile = getattr(cfg, f"profile_{bath}")
     return cfg if profile is None else replace(
         cfg, **{f"profile_{bath}": replace(profile, g=getattr(cfg, f"g_{bath}"))})
+
+
+@dataclass(frozen=True)
+class CycleSweep:
+    """Strong cycles over a grid of one parameter, one row per value of ``values``.
+
+    ``metrics`` maps each ``CycleReport`` metric (``work_total``, ``regime``...)
+    to its array over the rows, ``strokes`` each stroke to its ``LedgerColumns``
+    of arrays. A row that is not ``valid`` holds NaN there (regime "") and, in
+    ``errors``, the message ``strong_cycle(apply_axis(base, axis, value))``
+    raises; valid rows hold "".
+    """
+
+    values: np.ndarray
+    valid: np.ndarray
+    errors: list
+    metrics: dict
+    strokes: dict
+
+
+def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
+    """The strong cycle of ``base`` with ``axis`` (one of ``SWEEP_AXES``) set to each of
+    ``values``, the closed forms evaluated once on whole columns.
+
+    Row by row the result is bit for bit ``strong_cycle(apply_axis(base, axis, value))``.
+    A vectorized mask stands in for ``CycleConfig.problems`` and the profile checks;
+    only the rows it rejects take the scalar route, for their error message. ``base``
+    must itself be valid (``validate(need_profiles=True)``).
+    """
+    base.validate(need_profiles=True)
+    if axis not in SWEEP_AXES:
+        raise ConfigError([f"unknown sweep axis '{axis}'"])
+    values = np.asarray(values, dtype=float)
+    fields = {name: np.full(values.shape, getattr(base, name), dtype=float)
+              for name in NUMERIC_FIELDS}
+    bath = axis[-1]
+    profiles = {"h": base.profile_h, "c": base.profile_c}
+    with np.errstate(all="ignore"):
+        if axis in ("g_h", "g_c"):
+            valid = (0.0 < values) & (values < 1.0)
+            fields[f"beta_{bath}"] = np.arctanh(values) / fields[f"omega_{bath}"]
+        else:
+            valid = np.ones(values.shape, dtype=bool)
+            fields[axis] = values
+        g = {b: np.tanh(fields[f"beta_{b}"] * fields[f"omega_{b}"]) for b in "hc"}
+        # a bath of g = 0 has no profile; a tabulated profile ends at its last sample
+        valid &= _fields_valid(fields) & (g["h"] > 0.0) & (g["c"] > 0.0)
+        for b in "hc":
+            valid &= fields[f"tau_{b}"] <= profiles[b].t_max
+        rows = {name: column[valid] for name, column in fields.items()}
+        if axis not in ("tau_h", "tau_c"):
+            profiles[bath] = replace(profiles[bath], g=g[bath][valid])
+        metrics, strokes = _closed_form_cycle(
+            _Params(rows["omega_c"], rows["omega_h"], rows["beta_c"], rows["beta_h"],
+                    g["c"][valid], g["h"][valid],
+                    rows["tau_u1"] + rows["tau_h"] + rows["tau_u2"] + rows["tau_c"]),
+            profiles["h"].thermal_weight(rows["tau_h"]),
+            profiles["c"].thermal_weight(rows["tau_c"]))
+
+    def scatter(column, fill=math.nan):  # a column over the valid rows, onto every row
+        out = np.full(values.shape, fill, dtype=np.asarray(column).dtype)
+        out[valid] = column
+        return out
+
+    errors = [""] * values.size
+    for index in np.flatnonzero(~valid):
+        errors[index] = _sweep_error(base, axis, float(values[index]))
+    return CycleSweep(
+        values=values, valid=valid, errors=errors,
+        metrics={name: scatter(column, "" if name == "regime" else math.nan)
+                 for name, column in metrics.items()},
+        strokes={name: LedgerColumns(*map(scatter, entries)) for name, entries in strokes.items()})
+
+
+def _sweep_error(base: CycleConfig, axis: str, value: float) -> str:
+    """The message ``strong_cycle(apply_axis(base, axis, value))`` raises, for a sweep row
+    the mask rejects."""
+    try:
+        strong_cycle(apply_axis(base, axis, value))
+    except (ValueError, QottoError) as exc:
+        return str(exc)
+    raise AssertionError(f"the sweep mask rejects {axis} = {value}, which strong_cycle accepts")

@@ -2,7 +2,10 @@
 
 A profile supplies the coupling f(t), its accumulated phase
 F(t) = integral of f from 0 to t, the thermalization weight sin^2 F(t),
-and the decay rate gamma(t) = f(t) tan F(t). Three variants are provided:
+and the decay rate gamma(t) = f(t) tan F(t). Each takes t as a float or an
+ndarray and broadcasts it against the bath parameter g, itself a float or an
+ndarray (a column of baths, as a sweep evaluates them): one numpy expression
+serves one instant and a whole grid alike. Three variants are provided:
 
 * ``MarkovianProfile`` -- the constant-rate choice; gamma(t) = 1/(2g) for
   all t > 0 and the reduced dynamics is a CP-divisible semigroup.
@@ -17,6 +20,11 @@ integrable; F is therefore always evaluated from its closed form, never by
 quadrature across the singularity. ``profile_from_spec`` is the one place
 that turns a profile name (``markovian``, ``nonmarkovian``, ``tabulated:PATH``)
 into a profile.
+
+With a Python float t and g the profiles never warn. On an array that
+reaches past about 1e153, intermediate terms overflow to inf, which the
+closed forms absorb; numpy warns about that unless the caller evaluates under
+``np.errstate(over="ignore")``, as every qotto grid does.
 """
 
 from __future__ import annotations
@@ -39,66 +47,96 @@ class RatePair:
     gamma_plus: float
 
 
+def _first(bad, t):
+    """The first t where ``bad`` holds, or None; ``bad`` is a bool for a float t and a
+    bool array for an ndarray t."""
+    if isinstance(bad, np.ndarray):
+        return float(np.broadcast_to(t, bad.shape)[bad][0]) if bad.any() else None
+    return t if bad else None
+
+
+def time_grid(t_max: float, n: int) -> np.ndarray:
+    """The n sample times t_max k / n, k = 1..n; t_max / n * k where t_max * k overflows."""
+    k = np.arange(1, n + 1)
+    with np.errstate(over="ignore"):
+        ts = t_max * k / n
+    return np.where(np.isfinite(ts), ts, t_max / n * k)
+
+
 @dataclass(frozen=True)
 class CouplingProfile:
-    """Base class: bath parameter g = tanh(beta * omega), in (0, 1]."""
+    """Base class: bath parameter g = tanh(beta * omega), in (0, 1], a float or an ndarray."""
 
-    g: float
+    g: float | np.ndarray
 
     #: earliest time at which f is defined (tabulated profiles start at t0 > 0)
     t_min: float = field(default=0.0, init=False, repr=False)
+    #: latest time at which f and F are defined (the end of a tabulated grid)
+    t_max: float = field(default=math.inf, init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.g <= 1.0:
+        if not np.all((0.0 < self.g) & (self.g <= 1.0)):
             raise ValueError(f"bath parameter g must lie in (0, 1], got {self.g}")
 
-    def f(self, t: float) -> float:
+    def f(self, t):
         raise NotImplementedError
 
-    def phase(self, t: float) -> float:
+    def phase(self, t):
         raise NotImplementedError
 
-    def thermal_weight(self, t: float) -> float:
+    def thermal_weight(self, t):
         """sin^2 F(t): fraction of the bath population transferred by time t."""
-        return math.sin(self.phase(t)) ** 2
+        # squared as a product: a numpy scalar's ** 2 calls libm pow, an array's does not
+        return np.square(np.sin(self.phase(t)))
 
-    def _rate_at_singularity(self, t: float) -> float | None:
-        """Closed-form gamma where the map is not invertible, if one exists."""
-        return None
+    def rate(self, t):
+        """Decay rate gamma(t) = f(t) tan F(t), NaN where it is undefined.
+
+        Where |cos F| < TOL.cos_phase_singular the map is not invertible and
+        tan F cannot be evaluated; a profile with a closed-form rate there (the
+        Markovian one) returns it, the others NaN.
+        """
+        ph = self.phase(t)
+        singular = np.abs(np.cos(ph)) < TOL.cos_phase_singular
+        return np.where(singular, self._singular_rate(), self.f(t) * np.tan(ph))[()]
+
+    def _singular_rate(self):
+        """gamma where the map is not invertible: NaN unless a closed form exists."""
+        return math.nan
 
 
-def _constant_rate_f(g: float, t: float) -> float:
+def _constant_rate_f(g, t):
     """Coupling f(t) of the constant-rate profile with bath parameter g."""
-    if t <= 0.0:
-        raise ValueError(f"coupling strength requires t > 0, got t = {t}")
+    if (bad := _first(t <= 0.0, t)) is not None:
+        raise ValueError(f"coupling strength requires t > 0, got t = {bad}")
     # -expm1 keeps 1 - e^{-t/g} accurate for t near 0
-    return math.exp(-t / (2.0 * g)) / (2.0 * g * math.sqrt(-math.expm1(-t / g)))
+    return np.exp(-t / (2.0 * g)) / (2.0 * g * np.sqrt(-np.expm1(-t / g)))
 
 
-def _constant_rate_phase(g: float, t: float) -> float:
+def _constant_rate_phase(g, t):
     """Accumulated phase F(t) of the constant-rate profile with bath parameter g."""
-    if t < 0.0:
-        raise ValueError(f"accumulated phase requires t >= 0, got t = {t}")
-    return math.pi / 2.0 - math.asin(math.exp(-t / (2.0 * g)))
+    if (bad := _first(t < 0.0, t)) is not None:
+        raise ValueError(f"accumulated phase requires t >= 0, got t = {bad}")
+    return np.pi / 2.0 - np.arcsin(np.exp(-t / (2.0 * g)))
 
 
 @dataclass(frozen=True)
 class MarkovianProfile(CouplingProfile):
     """Coupling with constant rate gamma = 1/(2g); CP-divisible for all t."""
 
-    def f(self, t: float) -> float:
+    def f(self, t):
         return _constant_rate_f(self.g, t)
 
-    def phase(self, t: float) -> float:
+    def phase(self, t):
         return _constant_rate_phase(self.g, t)
 
-    def _rate_at_singularity(self, t: float) -> float | None:
+    def _singular_rate(self):
         return 1.0 / (2.0 * self.g)
 
 
-# u**2 overflows a float above u ~ 1.3e154; past 1e154 the term sin(20t)/u^2
-# is below 1e-307 and cannot change f
-_SQUARE_MAX = 1e154
+# 20t overflows past t ~ 9e306, where the oscillating terms are below 3e-306; their
+# argument is taken at t mod 2^1000, which is t itself below 1e301, so it stays finite
+_OSCILLATION_WRAP = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -109,20 +147,16 @@ class NonMarkovianProfile(CouplingProfile):
     derivative of sin(20t)/(10t+1), so the accumulated phase picks up that
     term in closed form. The rate f(t) tan F(t) dips below zero on short
     windows, breaking CP-divisibility, while F(t) -> pi/2 still holds and the
-    asymptotic thermal state is unchanged. Once 20t overflows (t ~ 9e306)
-    sin(20t) cannot be evaluated; the correction terms are below 3e-306
-    there and count as 0.
+    asymptotic thermal state is unchanged.
     """
 
-    def f(self, t: float) -> float:
-        base, u = _constant_rate_f(self.g, t), 10.0 * t + 1.0
-        if u < _SQUARE_MAX:
-            return base - 10.0 * math.sin(20.0 * t) / u**2 + 20.0 * math.cos(20.0 * t) / u
-        return base + (20.0 * math.cos(20.0 * t) / u if math.isfinite(20.0 * t) else 0.0)
+    def f(self, t):
+        base, u, x = _constant_rate_f(self.g, t), 10.0 * t + 1.0, 20.0 * (t % _OSCILLATION_WRAP)
+        return base - 10.0 * np.sin(x) / (u * u) + 20.0 * np.cos(x) / u
 
-    def phase(self, t: float) -> float:
-        return _constant_rate_phase(self.g, t) + (
-            math.sin(20.0 * t) / (10.0 * t + 1.0) if math.isfinite(20.0 * t) else 0.0)
+    def phase(self, t):
+        return (_constant_rate_phase(self.g, t)
+                + np.sin(20.0 * (t % _OSCILLATION_WRAP)) / (10.0 * t + 1.0))
 
 
 @dataclass(frozen=True)
@@ -155,32 +189,34 @@ class TabulatedProfile(CouplingProfile):
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "t_min", float(times[0]))
+        object.__setattr__(self, "t_max", float(times[-1]))
         # phase at the grid nodes: f(t0)*t0 head term plus exact trapezoids
         nodes = np.empty_like(times)
         nodes[0] = values[0] * times[0]
         nodes[1:] = nodes[0] + np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))
         object.__setattr__(self, "_phase_nodes", nodes)
 
-    def f(self, t: float) -> float:
-        if t < self.times[0] or t > self.times[-1]:
-            raise ValueError(
-                f"t = {t} outside tabulated domain [{self.times[0]}, {self.times[-1]}]")
-        return float(np.interp(t, self.times, self.values))
+    def _reject_outside(self, outside, t) -> None:
+        if (bad := _first(outside, t)) is not None:
+            raise ValueError(f"t = {bad} outside tabulated domain [{self.t_min}, {self.t_max}]")
 
-    def phase(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError(f"accumulated phase requires t >= 0, got t = {t}")
-        if t <= self.times[0]:
-            return float(self.values[0] * t)
-        if t > self.times[-1]:
-            raise ValueError(
-                f"t = {t} outside tabulated domain [{self.times[0]}, {self.times[-1]}]")
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        if k >= self.times.size - 1:
-            return float(self._phase_nodes[-1])
-        dt = t - self.times[k]
-        slope = (self.values[k + 1] - self.values[k]) / (self.times[k + 1] - self.times[k])
-        return float(self._phase_nodes[k] + self.values[k] * dt + 0.5 * slope * dt**2)
+    def f(self, t):
+        self._reject_outside((t < self.t_min) | (t > self.t_max), t)
+        return np.interp(t, self.times, self.values)
+
+    def phase(self, t):
+        if (bad := _first(t < 0.0, t)) is not None:
+            raise ValueError(f"accumulated phase requires t >= 0, got t = {bad}")
+        self._reject_outside(t > self.t_max, t)
+        times, values, nodes = self.times, self.values, self._phase_nodes
+        # the segment [times[k], times[k+1]] holding t; the head and the last node
+        # are replaced below
+        k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2)
+        dt = t - times[k]
+        slope = (values[k + 1] - values[k]) / (times[k + 1] - times[k])
+        inside = nodes[k] + values[k] * dt + 0.5 * slope * np.square(dt)
+        return np.where(t <= times[0], values[0] * t,
+                        np.where(t >= times[-1], nodes[-1], inside))[()]
 
 
 def load_tabulated(path, g: float) -> TabulatedProfile:
@@ -210,21 +246,16 @@ def profile_from_spec(spec: str, g: float) -> CouplingProfile:
 
 
 def rate_gamma(profile: CouplingProfile, t: float) -> float:
-    """Decay rate gamma(t) = f(t) tan F(t).
+    """Decay rate gamma(t) = f(t) tan F(t) at one instant: ``profile.rate`` on a float.
 
-    Near |cos F| = 0 the map is not invertible and tan F cannot be evaluated;
-    profiles with a finite closed-form rate (the Markovian one) return it,
-    otherwise ``SingularGeneratorError`` is raised.
+    Where the map is not invertible (|cos F| = 0) and the profile has no
+    closed-form rate there, ``SingularGeneratorError`` is raised.
     """
-    ph = profile.phase(t)
-    c = math.cos(ph)
-    if abs(c) < TOL.cos_phase_singular:
-        closed = profile._rate_at_singularity(t)
-        if closed is not None:
-            return closed
-        raise SingularGeneratorError(
-            f"dynamical map not invertible at t = {t}: |cos F| = {abs(c):.2e}")
-    return profile.f(t) * math.tan(ph)
+    gamma = profile.rate(t)
+    if math.isnan(gamma):
+        raise SingularGeneratorError(f"dynamical map not invertible at t = {t}: "
+                                     f"|cos F| = {abs(math.cos(profile.phase(t))):.2e}")
+    return float(gamma)
 
 
 def rate_pair(profile: CouplingProfile, t: float) -> RatePair:
@@ -247,8 +278,12 @@ def is_markovian(profile: CouplingProfile, horizon: float) -> tuple[bool, float 
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     lo = profile.t_min
-    ts = lo + (horizon - lo) * np.arange(1, _MARKOVIAN_GRID + 1) / _MARKOVIAN_GRID
-    for t in ts:
-        if rate_gamma(profile, float(t)) < TOL.rate_floor:
-            return False, float(t)
-    return True, None
+    ts = lo + time_grid(horizon - lo, _MARKOVIAN_GRID)
+    with np.errstate(over="ignore"):
+        gamma = profile.rate(ts)
+    stop = (gamma < TOL.rate_floor) | np.isnan(gamma)
+    if not stop.any():
+        return True, None
+    t = float(ts[stop.argmax()])
+    rate_gamma(profile, t)  # SingularGeneratorError if the first stop is a singular point
+    return False, t

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qotto import __version__, cli, cycle, profiles
 from qotto.cli import load_cycle_config, main
 from qotto.cycle import NUMERIC_FIELDS, build_config, strong_cycle
 from qotto.dynamics import cp_divisibility_witness, vectorized_reps
@@ -357,6 +358,53 @@ class TestSweep:
         assert run(["sweep", "--sweep", "tau_c:0:1"]) == 1
         assert run(["sweep", "--sweep", "volume:0:1:5"]) == 1
         assert run(["sweep", "--sweep", "tau_c:5:1:3"]) == 1
+
+
+class TestOneArrayEvaluation:
+    """sweep, witness and dynamics evaluate their grid in one array call each: none
+    goes through the one-point strong_cycle, apply_axis or rate_gamma."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--sweep", "tau_h:0.1:5:1000"],
+        ["sweep", "--sweep", "g_c:0.5:0.9:50", "--set", "profile_h=nonmarkovian"],
+        ["witness"], ["witness", "--t-max", "60"], ["dynamics"]], ids=" ".join)
+    def test_grids_take_no_one_point_route(self, argv, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a grid command went through a one-point route")
+        for module, name in ((cli, "strong_cycle"), (cli, "apply_axis"), (cli, "rate_gamma"),
+                             (cycle, "strong_cycle"), (cycle, "apply_axis"),
+                             (profiles, "rate_gamma")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert run([*argv, "--out", str(tmp_path / "grid.csv")]) == 0
+        assert len(read_csv(tmp_path / "grid.csv")[2]) in (50, 500, 1000, 2000)
+
+
+_CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, math.nan, math.inf, -math.inf]))
+_CSV_CELLS = st.one_of(_CSV_FLOATS, _CSV_FLOATS.map(np.float64), st.integers(-10**20, 10**20),
+                       st.booleans(), st.text(max_size=8),
+                       st.sampled_from(["a,b", 'say "hi"', "x\ny", "\r"]))
+
+
+def _reference_cell(value) -> str:
+    """One cell as a CSV cell: 17 significant digits, RFC 4180 quoting, str() otherwise."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, str) and any(ch in value for ch in ',"\n\r'):
+        return '"' + value.replace('"', '""') + '"'
+    return str(value)
+
+
+class TestCsvCells:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=8), min_size=1, max_size=4))
+    def test_cells_match_the_reference_formatting(self, rows):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_csv(None, ["h"], rows, {"k": 1.5})
+        expected = f"# qotto {__version__}\n# k = 1.5\nh\n" + "".join(
+            ",".join(_reference_cell(cell) for cell in row) + "\n" for row in rows)
+        assert out.getvalue() == expected
 
 
 class TestCsvContract:

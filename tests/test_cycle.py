@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qotto import linalg, thermo
-from qotto.cycle import (STROKE_ORDER, CycleConfig, apply_axis, build_config,
+from qotto.cycle import (NUMERIC_FIELDS, STROKE_ORDER, SWEEP_AXES, CycleConfig, LedgerColumns,
+                         _fields_valid, apply_axis, build_config, strong_cycle_sweep,
                          classify_regime, max_energy_deviation,
                          stroke_entropy_production_trace, strong_cycle,
                          strong_cycle_via_oracle, weak_cycle)
@@ -495,7 +497,7 @@ class TestApplyAxis:
                     (config.profile_h, swept.profile_h, swept.beta_h, swept.omega_h),
                     (config.profile_c, swept.profile_c, swept.beta_c, swept.omega_c)):
                 assert type(new) is type(old)
-                assert new.g == math.tanh(beta * omega)
+                assert new.g == np.tanh(beta * omega)
                 if isinstance(old, TabulatedProfile):
                     assert np.array_equal(new.times, old.times)
                     assert np.array_equal(new.values, old.values)
@@ -511,3 +513,83 @@ class TestApplyAxis:
         config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0)
         with pytest.raises(ConfigError):
             apply_axis(config, "volume", 1.0)
+
+
+_TABLE_TIMES = np.linspace(0.01, 6.0, 300)
+_TABLE = {"times": _TABLE_TIMES, "values": 0.5 + 0.3 * np.sin(_TABLE_TIMES)}
+_EDGES = [0.0, -0.0, 1e-300, 1e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def sweep_cases(draw):
+    """A valid base config, Markovian, non-Markovian or tabulated (to t = 6), one of the
+    sweep axes, and grid values that reach past every constraint on it."""
+    omega_c = draw(st.floats(0.2, 3.0))
+    omega_h = omega_c * draw(st.floats(1.05, 4.0))
+    beta_h = draw(st.floats(0.01, 3.0)) / omega_h
+    beta_c = beta_h * draw(st.floats(1.01, 20.0))
+    tau_h, tau_c, tau_u1, tau_u2 = (draw(st.floats(0.0, 5.0)) for _ in range(4))
+    kind = draw(st.sampled_from(["markovian", "nonmarkovian", "tabulated"]))
+    config = build_config(omega_c, omega_h, beta_c, beta_h, tau_h, tau_c, tau_u1, tau_u2,
+                          kind_h="markovian" if kind == "tabulated" else kind)
+    if kind == "tabulated":
+        config = replace(config, profile_h=TabulatedProfile(g=config.g_h, **_TABLE),
+                         profile_c=TabulatedProfile(g=config.g_c, **_TABLE))
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    if axis in ("g_h", "g_c"):
+        value = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 2**-53]))
+    else:
+        value = st.one_of(st.floats(-1.0, 10.0), st.sampled_from(_EDGES))
+    return config, axis, draw(st.lists(value, min_size=1, max_size=12))
+
+
+def _bits(value) -> str:
+    return float(value).hex()
+
+
+class TestStrongCycleSweep:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(sweep_cases())
+    def test_rows_are_the_scalar_route_bit_for_bit(self, case):
+        base, axis, values = case
+        sweep = strong_cycle_sweep(base, axis, values)
+        for k, value in enumerate(values):
+            try:
+                report = strong_cycle(apply_axis(base, axis, value))
+            except (ValueError, QottoError) as exc:
+                assert not sweep.valid[k] and sweep.errors[k] == str(exc)
+                assert sweep.metrics["regime"][k] == "" and math.isnan(sweep.metrics["eta0"][k])
+                continue
+            assert sweep.valid[k] and sweep.errors[k] == ""
+            assert sweep.metrics["regime"][k] == report.regime
+            for name, column in sweep.metrics.items():
+                if name != "regime":
+                    assert _bits(column[k]) == _bits(getattr(report, name)), name
+            for name, ledger in report.strokes.items():
+                for field, column in zip(LedgerColumns._fields, sweep.strokes[name]):
+                    assert _bits(column[k]) == _bits(getattr(ledger, field)), (name, field)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.fixed_dictionaries(
+        {name: st.one_of(st.floats(-1.0, 5.0), st.sampled_from(_EDGES))
+         for name in NUMERIC_FIELDS}), min_size=1, max_size=8))
+    def test_mask_agrees_with_problems(self, rows):
+        mask = _fields_valid({name: np.array([row[name] for row in rows])
+                              for name in NUMERIC_FIELDS})
+        assert mask.tolist() == [CycleConfig(**row).problems() == [] for row in rows]
+
+    def test_unknown_axis_and_invalid_base(self):
+        config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0)
+        with pytest.raises(ConfigError, match="unknown sweep axis 'volume'"):
+            strong_cycle_sweep(config, "volume", [1.0])
+        with pytest.raises(ConfigError, match="profile_h is required"):
+            strong_cycle_sweep(replace(config, profile_h=None), "tau_h", [1.0])
+
+    def test_entropy_trace_to_the_float_maximum(self):
+        # tau * k overflows for a contact near the float maximum; the sample times
+        # fall back to tau / n * k
+        config = build_config(1.0, 2.0, 1.0, 0.2, 1e308, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = stroke_entropy_production_trace(config, "hot")
+        assert trace.shape == (100,) and np.all(np.isfinite(trace))

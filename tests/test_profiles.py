@@ -263,3 +263,53 @@ class TestTabulated:
         for t in (0.5, 1.0, 3.0):
             assert profile.phase(t) == pytest.approx(reference.phase(t), abs=1e-3)
             assert rate_gamma(profile, t) == pytest.approx(1 / (2 * g), abs=5e-3)
+
+
+class TestArrays:
+    """One numpy expression per profile method serves a float and a whole grid."""
+
+    @pytest.mark.parametrize("profile", [
+        MarkovianProfile(g=0.8), NonMarkovianProfile(g=0.3),
+        TabulatedProfile(g=0.5, times=np.linspace(0.01, 6.0, 50),
+                         values=1.0 + 0.5 * np.sin(np.linspace(0.01, 6.0, 50)))],
+        ids=["markovian", "nonmarkovian", "tabulated"])
+    def test_grid_is_the_float_route_bit_for_bit(self, profile):
+        ts = np.linspace(max(profile.t_min, 0.02), 6.0, 257)
+        for method in ("f", "phase", "thermal_weight", "rate"):
+            grid = getattr(profile, method)(ts)
+            singles = [getattr(profile, method)(float(t)) for t in ts]
+            assert [float(v).hex() for v in grid] == [float(v).hex() for v in singles], method
+
+    def test_bath_parameter_broadcasts(self):
+        gs = np.array([0.2, 0.5, 0.9])
+        for cls in (MarkovianProfile, NonMarkovianProfile):
+            assert cls(g=gs).thermal_weight(1.3).tolist() == [
+                cls(g=float(g)).thermal_weight(1.3) for g in gs]
+        with pytest.raises(ValueError, match=r"bath parameter g must lie in \(0, 1\]"):
+            MarkovianProfile(g=np.array([0.5, 0.0]))
+
+    def test_grid_domain_error_names_the_first_bad_time(self):
+        with pytest.raises(ValueError, match=r"^coupling strength requires t > 0, got t = -1.0$"):
+            MarkovianProfile(g=0.5).f(np.array([0.5, -1.0, -2.0]))
+        with pytest.raises(ValueError, match=r"^accumulated phase requires t >= 0, got t = -2.0$"):
+            NonMarkovianProfile(g=0.5).phase(np.array([0.5, -2.0]))
+        profile = TabulatedProfile(g=0.5, times=np.array([0.1, 0.3]), values=np.array([1.0, 3.0]))
+        with pytest.raises(ValueError, match=r"^t = 0.4 outside tabulated domain \[0.1, 0.3\]$"):
+            profile.phase(np.array([0.2, 0.4]))
+
+    def test_rate_is_nan_where_the_map_is_singular(self):
+        # constant f = 2: F(t) = 2t crosses pi/2 at t = pi/4
+        profile = TabulatedProfile(g=0.5, times=np.array([0.01, 1.0]),
+                                   values=np.array([2.0, 2.0]))
+        gamma = profile.rate(np.array([0.5, math.pi / 4, 0.9]))
+        assert math.isfinite(gamma[0]) and math.isnan(gamma[1]) and math.isfinite(gamma[2])
+        assert MarkovianProfile(g=0.5).rate(np.array([20.0, 40.0])).tolist() == [1.0, 1.0]
+
+    def test_is_markovian_raises_at_a_singular_first_stop(self):
+        # F = c t reaches pi/2 at the 1000th point of the 2000-point grid on (0.01, 1],
+        # before tan F could turn negative
+        t_singular = 0.01 + 0.99 * 1000 / 2000
+        c = math.pi / 2 / t_singular
+        profile = TabulatedProfile(g=0.5, times=np.array([0.01, 1.0]), values=np.array([c, c]))
+        with pytest.raises(SingularGeneratorError, match=f"not invertible at t = {t_singular}:"):
+            is_markovian(profile, 1.0)
