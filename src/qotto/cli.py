@@ -19,6 +19,7 @@ directory for relative output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -342,6 +343,7 @@ def run_sweep(args) -> int:
 
 # --- entry point --------------------------------------------------------------
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qotto",
                      description="Two-qubit Otto cycle simulator with finite single-qubit baths")

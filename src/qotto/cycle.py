@@ -15,11 +15,14 @@ so one routine evaluates both.
 The closed-form and oracle routes share one cycle skeleton (``_cycle``): the
 quenches, the entropy productions, the stroke energies and the metrics. They
 differ only in their two contacts, which the oracle integrates numerically.
-The skeleton and the closed forms work elementwise on a float or an ndarray
-per parameter: ``strong_cycle_sweep`` evaluates a whole grid over one swept
-parameter at once, and ``strong_cycle``, ``weak_cycle`` and
-``strong_cycle_via_oracle`` are its one-point case. ``_report`` alone builds the
-stroke ledger and the report, from one point's values.
+Each numeric field of a ``CycleConfig``, and each entry of an ``EnergyLedger``,
+is a float or an ndarray, and the skeleton and the closed forms work
+elementwise: ``strong_cycle_sweep`` evaluates a whole grid over one swept
+parameter at once, on a config whose swept field is a column, and
+``strong_cycle``, ``weak_cycle`` and ``strong_cycle_via_oracle`` are its
+one-point case. ``_report`` turns one point's values into a report. One helper
+sets a swept parameter (``_set_axis``) and one rebuilds the profile it changes
+(``_rebuild_profile``), for ``apply_axis`` and the sweep alike.
 
 Partial thermalization in the final stroke breaks exact cyclicity; the
 report carries the residual instead of silently assuming closure.
@@ -30,7 +33,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,29 +65,34 @@ def _number_problem(name: str, value) -> str | None:
 
 @dataclass(frozen=True)
 class CycleConfig:
-    """All cycle parameters; bath parameters g are fixed by g = tanh(beta * omega)."""
+    """All cycle parameters; bath parameters g are fixed by g = tanh(beta * omega).
 
-    omega_c: float
-    omega_h: float
-    beta_c: float
-    beta_h: float
-    tau_h: float
-    tau_c: float
-    tau_u1: float = 0.0
-    tau_u2: float = 0.0
+    A numeric field is a float, or an ndarray of grid rows (a sweep's swept
+    field); ``g_c``, ``g_h`` and ``tau`` follow elementwise. ``problems`` and
+    ``validate`` judge a config of floats.
+    """
+
+    omega_c: float | np.ndarray
+    omega_h: float | np.ndarray
+    beta_c: float | np.ndarray
+    beta_h: float | np.ndarray
+    tau_h: float | np.ndarray
+    tau_c: float | np.ndarray
+    tau_u1: float | np.ndarray = 0.0
+    tau_u2: float | np.ndarray = 0.0
     profile_h: CouplingProfile | None = None
     profile_c: CouplingProfile | None = None
 
     @property
-    def g_c(self) -> float:
-        return float(np.tanh(self.beta_c * self.omega_c))
+    def g_c(self):
+        return np.tanh(self.beta_c * self.omega_c)
 
     @property
-    def g_h(self) -> float:
-        return float(np.tanh(self.beta_h * self.omega_h))
+    def g_h(self):
+        return np.tanh(self.beta_h * self.omega_h)
 
     @property
-    def tau(self) -> float:
+    def tau(self):
         return self.tau_u1 + self.tau_h + self.tau_u2 + self.tau_c
 
     def problems(self, need_profiles: bool = False) -> list[str]:
@@ -132,13 +139,14 @@ class CycleConfig:
             raise ConfigError(problems)
 
 
-def _fields_valid(fields: dict) -> np.ndarray:
-    """``problems() == []`` elementwise, over float arrays of the ``NUMERIC_FIELDS``;
-    the tests hold the two to each other."""
-    omega_c, omega_h, beta_c, beta_h, *durations = (fields[name] for name in NUMERIC_FIELDS)
+def _fields_valid(config: CycleConfig):
+    """``problems() == []`` elementwise, over a config whose fields are floats or float
+    arrays; the tests hold the two to each other."""
+    fields = [getattr(config, name) for name in NUMERIC_FIELDS]
+    omega_c, omega_h, beta_c, beta_h, *durations = fields
     ok = (omega_c > 0.0) & (omega_h > omega_c) & (beta_h >= 0.0) & (beta_c > beta_h)
-    for name in NUMERIC_FIELDS:
-        ok &= np.isfinite(fields[name])
+    for value in fields:
+        ok &= np.isfinite(value)
     for tau in durations:
         ok &= tau >= 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite total is a problem
@@ -244,34 +252,7 @@ def _binary_entropy(p):
     return s
 
 
-class _Params(NamedTuple):
-    """What the closed forms read of a config: each entry a float, or an ndarray of grid rows."""
-
-    omega_c: float | np.ndarray
-    omega_h: float | np.ndarray
-    beta_c: float | np.ndarray
-    beta_h: float | np.ndarray
-    g_c: float | np.ndarray
-    g_h: float | np.ndarray
-    tau: float | np.ndarray
-
-    @classmethod
-    def of(cls, config: CycleConfig) -> _Params:
-        return cls(config.omega_c, config.omega_h, config.beta_c, config.beta_h,
-                   config.g_c, config.g_h, config.tau)
-
-
-class LedgerColumns(NamedTuple):
-    """One stroke's ledger entries, as in ``EnergyLedger``: each a float or an ndarray."""
-
-    work: float | np.ndarray
-    heat: float | np.ndarray
-    internal_energy_initial: float | np.ndarray
-    internal_energy_final: float | np.ndarray
-    entropy_production: float | np.ndarray
-
-
-def _cycle(c: _Params, hot: tuple, cold: tuple, w_cd, work, sw_h,
+def _cycle(c: CycleConfig, hot: tuple, cold: tuple, w_cd, work, sw_h,
            sw_c) -> tuple[dict, dict]:
     """The cycle around a hot and a cold contact of thermal weights sw_h and sw_c.
 
@@ -289,7 +270,7 @@ def _cycle(c: _Params, hot: tuple, cold: tuple, w_cd, work, sw_h,
     the bath's upper level rounds to zero.
 
     Every value is a float or an ndarray, taken elementwise. Returns each
-    ``CycleReport`` metric by name, and each stroke's ``LedgerColumns`` by name.
+    ``CycleReport`` metric by name, and each stroke's ``EnergyLedger`` by name.
     """
     # np.where evaluates both branches: the unguarded one may divide by zero or overflow
     with np.errstate(all="ignore"):
@@ -306,14 +287,14 @@ def _cycle(c: _Params, hot: tuple, cold: tuple, w_cd, work, sw_h,
         sigma_h = np.where(sw_h > 0.0, s_c1 - s_a1 - c.beta_h * q_h, 0.0)
         sigma_c = np.where(sw_c > 0.0, _binary_entropy(p_a0) - s_c1 - c.beta_c * q_c, 0.0)
         strokes = {
-            "quench_up": LedgerColumns(w_ab, 0.0, -wc * g_c, e_b, 0.0),
-            "connect_hot": LedgerColumns(w_con_h, 0.0, e_b, e_b + w_con_h, 0.0),
-            "hot_contact": LedgerColumns(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
-            "disconnect_hot": LedgerColumns(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h, 0.0),
-            "quench_down": LedgerColumns(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h, 0.0),
-            "connect_cold": LedgerColumns(w_con_c, 0.0, e_d, e_d + w_con_c, 0.0),
-            "cold_contact": LedgerColumns(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
-            "disconnect_cold": LedgerColumns(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c, 0.0),
+            "quench_up": EnergyLedger(w_ab, 0.0, -wc * g_c, e_b, 0.0),
+            "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h, 0.0),
+            "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
+            "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h, 0.0),
+            "quench_down": EnergyLedger(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h, 0.0),
+            "connect_cold": EnergyLedger(w_con_c, 0.0, e_d, e_d + w_con_c, 0.0),
+            "cold_contact": EnergyLedger(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
+            "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c, 0.0),
         }
 
         tau = c.tau
@@ -338,10 +319,10 @@ def _cycle(c: _Params, hot: tuple, cold: tuple, w_cd, work, sw_h,
 
 
 def _report(config: CycleConfig, metrics: dict, strokes: dict) -> CycleReport:
-    """The report of one point of ``_cycle``: the one place a stroke ledger is built."""
+    """The report of one point of ``_cycle``, its entries turned into floats."""
     return CycleReport(
         config=config, regime=str(metrics["regime"]),
-        strokes={name: EnergyLedger(*map(float, strokes[name])) for name in STROKE_ORDER},
+        strokes={name: EnergyLedger._make(map(float, strokes[name])) for name in STROKE_ORDER},
         **{name: float(value) for name, value in metrics.items() if name != "regime"})
 
 
@@ -350,7 +331,7 @@ def weak_cycle(config: CycleConfig) -> CycleReport:
     config.validate(need_profiles=False)
     if config.tau <= 0.0:
         raise UndefinedPowerError("power is undefined for a cycle of zero total duration")
-    return _report(config, *_closed_form_cycle(_Params.of(config), 1.0, 1.0))
+    return _report(config, *_closed_form_cycle(config, 1.0, 1.0))
 
 
 def strong_cycle(config: CycleConfig) -> CycleReport:
@@ -358,11 +339,11 @@ def strong_cycle(config: CycleConfig) -> CycleReport:
     one-point case of ``strong_cycle_sweep``."""
     config.validate(need_profiles=True)
     return _report(config, *_closed_form_cycle(
-        _Params.of(config), config.profile_h.thermal_weight(config.tau_h),
+        config, config.profile_h.thermal_weight(config.tau_h),
         config.profile_c.thermal_weight(config.tau_c)))
 
 
-def _closed_form_cycle(c: _Params, sw_h, sw_c) -> tuple[dict, dict]:
+def _closed_form_cycle(c: CycleConfig, sw_h, sw_c) -> tuple[dict, dict]:
     """The metrics and strokes of the cycle whose contacts have thermal weights sw_h and sw_c.
 
     Every closed-form joint state has a purely imaginary exchange coherence
@@ -414,7 +395,7 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     hot = contact("hot", (1.0 - config.g_c) / 2.0, ph, wh, config.tau_h)
     p_c1 = hot[0]
     cold = contact("cold", p_c1, pc, wc, config.tau_c)
-    return _report(config, *_cycle(_Params.of(config), hot, cold, (wc - wh) * (2.0 * p_c1 - 1.0),
+    return _report(config, *_cycle(config, hot, cold, (wc - wh) * (2.0 * p_c1 - 1.0),
                                    None, ph.thermal_weight(config.tau_h),
                                    pc.thermal_weight(config.tau_c)))
 
@@ -448,6 +429,26 @@ def stroke_entropy_production_trace(config: CycleConfig, stroke: str,
 SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "beta_c")
 
 
+def _set_axis(config: CycleConfig, axis: str, value) -> CycleConfig:
+    """Unvalidated copy of a config with ``axis``, one of ``SWEEP_AXES``, set to ``value``,
+    a float or an ndarray; a g axis sets its bath's beta to arctanh(value) / omega."""
+    if axis in ("g_h", "g_c"):
+        bath = axis[-1]
+        return replace(config, **{f"beta_{bath}":
+                                  np.arctanh(value) / getattr(config, f"omega_{bath}")})
+    return replace(config, **{axis: value})
+
+
+def _rebuild_profile(config: CycleConfig, axis: str) -> CycleConfig:
+    """``config`` with the profile of the bath that ``axis`` changes rebuilt at that bath's
+    g; a duration axis, or a bath without a profile, leaves the config as it is."""
+    bath = axis[-1]
+    profile = getattr(config, f"profile_{bath}")
+    if axis in ("tau_h", "tau_c") or profile is None:
+        return config
+    return replace(config, **{f"profile_{bath}": replace(profile, g=getattr(config, f"g_{bath}"))})
+
+
 def apply_axis(config: CycleConfig, axis: str, value: float) -> CycleConfig:
     """Sweepable copy of a config with one parameter, one of ``SWEEP_AXES``, replaced.
 
@@ -455,22 +456,13 @@ def apply_axis(config: CycleConfig, axis: str, value: float) -> CycleConfig:
     the implied g; changing g_h or g_c adjusts the corresponding beta. The
     copy is validated before its profile is rebuilt.
     """
-    if axis in ("tau_h", "tau_c"):
-        return replace(config, **{axis: value})
-    bath = axis[-1]  # h or c, the bath whose g changes
-    if axis in ("omega_c", "omega_h", "beta_c", "beta_h"):
-        cfg = replace(config, **{axis: value})
-    elif axis in ("g_h", "g_c"):
-        if not 0.0 < value < 1.0:
-            raise ConfigError([f"{axis} must lie in (0, 1), got {value}"])
-        omega = getattr(config, f"omega_{bath}")
-        cfg = replace(config, **{f"beta_{bath}": float(np.arctanh(value)) / omega})
-    else:
+    if axis not in SWEEP_AXES:
         raise ConfigError([f"unknown sweep axis '{axis}'"])
+    if axis in ("g_h", "g_c") and not 0.0 < value < 1.0:
+        raise ConfigError([f"{axis} must lie in (0, 1), got {value}"])
+    cfg = _set_axis(config, axis, value)
     _require_fields(cfg)
-    profile = getattr(cfg, f"profile_{bath}")
-    return cfg if profile is None else replace(
-        cfg, **{f"profile_{bath}": replace(profile, g=getattr(cfg, f"g_{bath}"))})
+    return _rebuild_profile(cfg, axis)
 
 
 @dataclass(frozen=True)
@@ -478,7 +470,7 @@ class CycleSweep:
     """Strong cycles over a grid of one parameter, one row per value of ``values``.
 
     ``metrics`` maps each ``CycleReport`` metric (``work_total``, ``regime``...)
-    to its array over the rows, ``strokes`` each stroke to its ``LedgerColumns``
+    to its array over the rows, ``strokes`` each stroke to its ``EnergyLedger``
     of arrays. A row that is not ``valid`` holds NaN there (regime "") and, in
     ``errors``, the message ``strong_cycle(apply_axis(base, axis, value))``
     raises; valid rows hold "".
@@ -493,7 +485,7 @@ class CycleSweep:
 
 def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
     """The strong cycle of ``base`` with ``axis`` (one of ``SWEEP_AXES``) set to each of
-    ``values``, the closed forms evaluated once on whole columns.
+    ``values``, a 1-d grid, the closed forms evaluated once on whole columns.
 
     Row by row the result is bit for bit ``strong_cycle(apply_axis(base, axis, value))``.
     A vectorized mask stands in for ``CycleConfig.problems`` and the profile checks;
@@ -504,31 +496,18 @@ def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
     if axis not in SWEEP_AXES:
         raise ConfigError([f"unknown sweep axis '{axis}'"])
     values = np.asarray(values, dtype=float)
-    fields = {name: np.full(values.shape, getattr(base, name), dtype=float)
-              for name in NUMERIC_FIELDS}
-    bath = axis[-1]
-    profiles = {"h": base.profile_h, "c": base.profile_c}
+    if values.ndim != 1:
+        raise ConfigError([f"sweep values must form a 1-d grid, got shape {values.shape}"])
     with np.errstate(all="ignore"):
-        if axis in ("g_h", "g_c"):
-            valid = (0.0 < values) & (values < 1.0)
-            fields[f"beta_{bath}"] = np.arctanh(values) / fields[f"omega_{bath}"]
-        else:
-            valid = np.ones(values.shape, dtype=bool)
-            fields[axis] = values
-        g = {b: np.tanh(fields[f"beta_{b}"] * fields[f"omega_{b}"]) for b in "hc"}
+        swept = _set_axis(base, axis, values)
+        valid = ((0.0 < values) & (values < 1.0) if axis in ("g_h", "g_c")
+                 else np.ones(values.shape, dtype=bool))
         # a bath of g = 0 has no profile; a tabulated profile ends at its last sample
-        valid &= _fields_valid(fields) & (g["h"] > 0.0) & (g["c"] > 0.0)
-        for b in "hc":
-            valid &= fields[f"tau_{b}"] <= profiles[b].t_max
-        rows = {name: column[valid] for name, column in fields.items()}
-        if axis not in ("tau_h", "tau_c"):
-            profiles[bath] = replace(profiles[bath], g=g[bath][valid])
-        metrics, strokes = _closed_form_cycle(
-            _Params(rows["omega_c"], rows["omega_h"], rows["beta_c"], rows["beta_h"],
-                    g["c"][valid], g["h"][valid],
-                    rows["tau_u1"] + rows["tau_h"] + rows["tau_u2"] + rows["tau_c"]),
-            profiles["h"].thermal_weight(rows["tau_h"]),
-            profiles["c"].thermal_weight(rows["tau_c"]))
+        valid &= _fields_valid(swept) & (swept.g_h > 0.0) & (swept.g_c > 0.0)
+        valid &= (swept.tau_h <= base.profile_h.t_max) & (swept.tau_c <= base.profile_c.t_max)
+        rows = _rebuild_profile(_set_axis(base, axis, values[valid]), axis)
+        metrics, strokes = _closed_form_cycle(rows, rows.profile_h.thermal_weight(rows.tau_h),
+                                              rows.profile_c.thermal_weight(rows.tau_c))
 
     def scatter(column, fill=math.nan):  # a column over the valid rows, onto every row
         out = np.full(values.shape, fill, dtype=np.asarray(column).dtype)
@@ -542,7 +521,8 @@ def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
         values=values, valid=valid, errors=errors,
         metrics={name: scatter(column, "" if name == "regime" else math.nan)
                  for name, column in metrics.items()},
-        strokes={name: LedgerColumns(*map(scatter, entries)) for name, entries in strokes.items()})
+        strokes={name: EnergyLedger._make(map(scatter, ledger))
+                 for name, ledger in strokes.items()})
 
 
 def _sweep_error(base: CycleConfig, axis: str, value: float) -> str:

@@ -22,7 +22,7 @@ the instantaneous flow is provided as an independent audit route. That route,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,18 +31,21 @@ from .errors import SupportViolationError
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Per-stroke energy account; first law reads energy change = work + heat."""
+class EnergyLedger(NamedTuple):
+    """Per-stroke energy account; first law reads energy change = work + heat.
 
-    work: float
-    heat: float
-    internal_energy_initial: float
-    internal_energy_final: float
-    entropy_production: float = 0.0
+    Each entry is a float for one cycle, or an ndarray with one entry per cycle
+    of a grid (a sweep's column); the residual follows elementwise.
+    """
+
+    work: float | np.ndarray
+    heat: float | np.ndarray
+    internal_energy_initial: float | np.ndarray
+    internal_energy_final: float | np.ndarray
+    entropy_production: float | np.ndarray = 0.0
 
     @property
-    def first_law_residual(self) -> float:
+    def first_law_residual(self):
         return (self.internal_energy_final - self.internal_energy_initial
                 - self.work - self.heat)
 

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,12 @@ class TestCycleCommand:
         meta, _, _ = read_csv(out)
         assert meta["config.beta_h"] == "0.59999999999999998"
         assert meta["config.tau_c"] == "5"
+
+    def test_set_does_not_leak_into_the_next_call(self, tmp_path):
+        # main reuses one parser; each call must start from an empty --set list
+        assert run(["cycle", "--set", "tau_h=1", "--out", str(tmp_path / "a.csv")]) == 0
+        assert run(["cycle", "--out", str(tmp_path / "b.csv")]) == 0
+        assert read_csv(tmp_path / "b.csv")[0]["config.tau_h"] == "2"
 
     def test_tabulated_profile_from_file(self, tmp_path):
         import numpy as np
@@ -784,3 +791,12 @@ class TestReadmeExamples:
         monkeypatch.setenv("QOTTO_OUT_DIR", str(tmp_path))
         assert run(argv) == 0
         assert list(tmp_path.iterdir())
+
+    def test_library_block_runs_without_warnings(self, capsys):
+        (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                              re.DOTALL | re.MULTILINE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(block, "README.md", "exec"), {})
+        regime, valid = (line.split()[0] for line in capsys.readouterr().out.splitlines())
+        assert (regime, valid) == ("engine", "True")

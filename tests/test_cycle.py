@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qotto import linalg, thermo
-from qotto.cycle import (NUMERIC_FIELDS, STROKE_ORDER, SWEEP_AXES, CycleConfig, LedgerColumns,
+from qotto.cycle import (NUMERIC_FIELDS, STROKE_ORDER, SWEEP_AXES, CycleConfig,
                          _fields_valid, apply_axis, build_config, strong_cycle_sweep,
                          classify_regime, max_energy_deviation,
                          stroke_entropy_production_trace, strong_cycle,
@@ -15,6 +16,7 @@ from qotto.cycle import (NUMERIC_FIELDS, STROKE_ORDER, SWEEP_AXES, CycleConfig, 
 from qotto.dynamics import QubitState, joint_state_closed_form
 from qotto.errors import ConfigError, QottoError, UndefinedPowerError
 from qotto.profiles import MarkovianProfile, NonMarkovianProfile, TabulatedProfile
+from qotto.thermo import EnergyLedger
 from qotto.tolerances import TOL
 
 ENGINE = dict(omega_c=1.0, omega_h=2.0, beta_c=1.0, beta_h=0.2)
@@ -566,7 +568,7 @@ class TestStrongCycleSweep:
                 if name != "regime":
                     assert _bits(column[k]) == _bits(getattr(report, name)), name
             for name, ledger in report.strokes.items():
-                for field, column in zip(LedgerColumns._fields, sweep.strokes[name]):
+                for field, column in zip(EnergyLedger._fields, sweep.strokes[name]):
                     assert _bits(column[k]) == _bits(getattr(ledger, field)), (name, field)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -574,8 +576,8 @@ class TestStrongCycleSweep:
         {name: st.one_of(st.floats(-1.0, 5.0), st.sampled_from(_EDGES))
          for name in NUMERIC_FIELDS}), min_size=1, max_size=8))
     def test_mask_agrees_with_problems(self, rows):
-        mask = _fields_valid({name: np.array([row[name] for row in rows])
-                              for name in NUMERIC_FIELDS})
+        mask = _fields_valid(CycleConfig(**{name: np.array([row[name] for row in rows])
+                                            for name in NUMERIC_FIELDS}))
         assert mask.tolist() == [CycleConfig(**row).problems() == [] for row in rows]
 
     def test_unknown_axis_and_invalid_base(self):
@@ -584,6 +586,13 @@ class TestStrongCycleSweep:
             strong_cycle_sweep(config, "volume", [1.0])
         with pytest.raises(ConfigError, match="profile_h is required"):
             strong_cycle_sweep(replace(config, profile_h=None), "tau_h", [1.0])
+
+    @pytest.mark.parametrize("values", [2.0, [[1.0, -1.0], [3.0, 4.0]], [[1.0, 2.0]]])
+    def test_grid_must_be_one_dimensional(self, values):
+        config = build_config(1.0, 2.0, 1.0, 0.2, 2.0, 2.0)
+        shape = np.shape(values)
+        with pytest.raises(ConfigError, match=re.escape(f"got shape {shape}")):
+            strong_cycle_sweep(config, "tau_h", values)
 
     def test_entropy_trace_to_the_float_maximum(self):
         # tau * k overflows for a contact near the float maximum; the sample times

@@ -190,6 +190,14 @@ class TestIsMarkovian:
         flag, first = is_markovian(profile, 1.0)
         assert flag and first is None
 
+    def test_table_end_counts_only_after_the_first_violation(self):
+        t = np.linspace(0.01, 3.0, 300)
+        falls = TabulatedProfile(g=0.5, times=t, values=np.where(t < 1.0, 0.5, -0.5))
+        flag, first = is_markovian(falls, 5.0)
+        assert not flag and 0.99 < first < 1.0
+        with pytest.raises(ValueError, match=r"^t = 3\.001505 outside tabulated domain"):
+            is_markovian(TabulatedProfile(g=0.5, times=t, values=np.full(300, 0.5)), 5.0)
+
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             is_markovian(MarkovianProfile(g=0.5), 0.0)
