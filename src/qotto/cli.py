@@ -400,7 +400,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QottoError, OSError, np.linalg.LinAlgError) as exc:
+    except (QottoError, OSError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except ValueError as exc:

@@ -21,8 +21,8 @@ elementwise: ``strong_cycle_sweep`` evaluates a whole grid over one swept
 parameter at once, on a config whose swept field is a column, and
 ``strong_cycle``, ``weak_cycle`` and ``strong_cycle_via_oracle`` are its
 one-point case. ``_report`` turns one point's values into a report. One helper
-sets a swept parameter (``_set_axis``) and one rebuilds the profile it changes
-(``_rebuild_profile``), for ``apply_axis`` and the sweep alike.
+sets a swept parameter (``_set_axis``), one rebuilds the profile it changes
+(``_rebuild_profile``) and one rule table (``_rules``) judges a point or a grid.
 
 Partial thermalization in the final stroke breaks exact cyclicity; the
 report carries the residual instead of silently assuming closure.
@@ -41,7 +41,7 @@ from .dynamics import (ORACLE_T_START, QubitState, bath_thermal_matrix,
                        coupling_hamiltonian, oracle_propagate)
 # perfbench/tracing.py wraps this here, tests/test_perfbench_bindings.py pins it; ROADMAP item 3 removes it
 from .dynamics import joint_state_closed_form
-from .errors import ConfigError, IntegrationFailureError, QottoError, UndefinedPowerError
+from .errors import ConfigError, IntegrationFailureError, UndefinedPowerError
 from .profiles import CouplingProfile, profile_from_spec, time_grid
 from .thermo import EnergyLedger
 from .tolerances import TOL
@@ -53,23 +53,14 @@ NUMERIC_FIELDS = ("omega_c", "omega_h", "beta_c", "beta_h",
 _HOT_SPEC = object()  # build_config's default kind_c: the same spec as kind_h
 
 
-def _number_problem(name: str, value) -> str | None:
-    """Why ``value`` is not a finite number in float range, or None."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return f"{name} must be a number, got {value!r}"
-    try:
-        return None if math.isfinite(value) else f"{name} must be finite, got {value}"
-    except OverflowError:
-        return f"{name} must be a number, got an int too large for a float"
-
-
 @dataclass(frozen=True)
 class CycleConfig:
     """All cycle parameters; bath parameters g are fixed by g = tanh(beta * omega).
 
     A numeric field is a float, or an ndarray of grid rows (a sweep's swept
     field); ``g_c``, ``g_h`` and ``tau`` follow elementwise. ``problems`` and
-    ``validate`` judge a config of floats.
+    ``validate`` judge a config of floats by the rule table (``_rules``), which
+    ``strong_cycle_sweep`` evaluates on every row of a grid.
     """
 
     omega_c: float | np.ndarray
@@ -96,70 +87,98 @@ class CycleConfig:
         return self.tau_u1 + self.tau_h + self.tau_u2 + self.tau_c
 
     def problems(self, need_profiles: bool = False) -> list[str]:
-        """Every constraint violation, one message per offending field: the only validator
-        of cycle inputs. A field that is not a finite number joins no range rule."""
-        values, out = [], []
-        for name in NUMERIC_FIELDS:
-            value = getattr(self, name)
-            if not (type(value) is float and math.isfinite(value)):  # else the common case
-                fault = _number_problem(name, value)
-                if fault:
-                    out.append(fault)
-                    value = math.nan  # fails every rule below
-            values.append(value)
-        omega_c, omega_h, beta_c, beta_h, *durations = values
-        if omega_c <= 0.0:
-            out.append(f"omega_c must be > 0, got {omega_c}")
-        if omega_h <= 0.0:
-            out.append(f"omega_h must be > 0, got {omega_h}")
-        elif omega_h <= omega_c:
-            out.append(f"omega_h must exceed omega_c, got {omega_h} <= {omega_c}")
-        if beta_h < 0.0:
-            out.append(f"beta_h must be >= 0, got {beta_h}")
-        if beta_c <= beta_h:
-            out.append(f"beta_c must exceed beta_h, got {beta_c} <= {beta_h}")
-        for name, tau in zip(NUMERIC_FIELDS[4:], durations):
-            if tau < 0.0:
-                out.append(f"{name} must be >= 0, got {tau}")
-        if math.isinf(sum(durations)):
-            out.append("the total duration tau_u1 + tau_h + tau_u2 + tau_c must be "
-                       f"finite, got {sum(durations)}")
-        if need_profiles:
-            for name, profile, g in (("profile_h", self.profile_h, np.tanh(beta_h * omega_h)),
-                                     ("profile_c", self.profile_c, np.tanh(beta_c * omega_c))):
-                if profile is None:
-                    out.append(f"{name} is required for the strongly coupled cycle")
-                elif abs(profile.g - g) > TOL.profile_g_match:
-                    out.append(f"{name}.g = {profile.g} does not match tanh(beta*omega) = {g}")
-        return out
+        """Every constraint violation of one point, one message each (see ``_rules``)."""
+        return list(_faults(self, need_profiles=need_profiles)[1][0])
 
     def validate(self, need_profiles: bool = False) -> None:
-        problems = self.problems(need_profiles)
-        if problems:
-            raise ConfigError(problems)
+        _require(self, need_profiles=need_profiles)
 
 
-def _fields_valid(config: CycleConfig):
-    """``problems() == []`` elementwise, over a config whose fields are floats or float
-    arrays; the tests hold the two to each other."""
-    fields = [getattr(config, name) for name in NUMERIC_FIELDS]
-    omega_c, omega_h, beta_c, beta_h, *durations = fields
-    ok = (omega_c > 0.0) & (omega_h > omega_c) & (beta_h >= 0.0) & (beta_c > beta_h)
-    for value in fields:
-        ok &= np.isfinite(value)
-    for tau in durations:
-        ok &= tau >= 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite total is a problem
-        return ok & np.isfinite(durations[0] + durations[1] + durations[2] + durations[3])
+def _number_rule(name: str, value) -> tuple[tuple, object]:
+    """The rule that field ``name`` (a scalar or a column) holds finite floats, as (bad,
+    template), and the field as later rules read it: NaN, which joins none, where it fails."""
+    not_finite = f"{name} must be finite, got {{{name}}}"
+    if isinstance(value, np.ndarray):
+        finite = np.isfinite(value)
+        return (~finite, not_finite), np.where(finite, value, math.nan)
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):  # float: no ABC
+        return (True, f"{name} must be a number, got {{{name}!r}}"), math.nan
+    try:
+        value = float(value)
+    except OverflowError:
+        return (True, f"{name} must be a number, got an int too large for a float"), math.nan
+    finite = math.isfinite(value)
+    return (not finite, not_finite), value if finite else math.nan
 
 
-def _require_fields(config: CycleConfig, *more: str) -> None:
-    """Raise the field faults of a config about to get profiles, and ``more``, together."""
-    problems = config.problems()
-    if not problems and config.g_h <= 0.0:
-        problems.append("beta_h must be > 0 so that the hot profile has g > 0")
-    if problems or more:
-        raise ConfigError(problems + list(more))
+def _rules(c: CycleConfig, need_profiles: bool = False, g_baths: str = "",
+           ends: bool = False, axis: str | None = None, value=None) -> tuple[list, dict]:
+    """The rule table of ``c``, whose numeric fields are floats or columns: stages of
+    (bad, message template) rules, ``bad`` holding elementwise where a rule fails, and the
+    values the templates name. The stages, by precedence: the (0, 1) range of ``value`` on
+    a g ``axis``; the fields (with ``need_profiles``, and the profiles); g > 0 of the hot,
+    then the cold bath, each named in ``g_baths`` (those whose profile is, or is about to be,
+    built at its g); with ``ends``, the hot, then the cold contact within its table."""
+    v, fields = {}, []
+    for name in NUMERIC_FIELDS:
+        rule, v[name] = _number_rule(name, getattr(c, name))
+        fields.append(rule)
+    tau = v["tau_u1"] + v["tau_h"] + v["tau_u2"] + v["tau_c"]
+    g = {b: np.tanh(v[f"beta_{b}"] * v[f"omega_{b}"]) for b in "hc"}
+    fields += [
+        (v["omega_c"] <= 0.0, "omega_c must be > 0, got {omega_c}"),
+        (v["omega_h"] <= 0.0, "omega_h must be > 0, got {omega_h}"),
+        ((v["omega_h"] > 0.0) & (v["omega_h"] <= v["omega_c"]),
+         "omega_h must exceed omega_c, got {omega_h} <= {omega_c}"),
+        (v["beta_h"] < 0.0, "beta_h must be >= 0, got {beta_h}"),
+        (v["beta_c"] <= v["beta_h"], "beta_c must exceed beta_h, got {beta_c} <= {beta_h}"),
+        *((v[name] < 0.0, f"{name} must be >= 0, got {{{name}}}")
+          for name in NUMERIC_FIELDS[4:]),
+        (np.isinf(tau), "the total duration tau_u1 + tau_h + tau_u2 + tau_c must be finite, "
+                        "got {tau}")]
+    profiles = {b: getattr(c, f"profile_{b}") for b in "hc"}
+    if need_profiles:
+        fields += [(True, f"profile_{b} is required for the strongly coupled cycle")
+                   if p is None else
+                   (abs(p.g - g[b]) > TOL.profile_g_match,
+                    f"profile_{b}.g = {{profile_{b}.g}} does not match tanh(beta*omega) = "
+                    f"{{g_{b}}}")
+                   for b, p in profiles.items()]
+    stages = [fields]
+    if axis in ("g_h", "g_c"):
+        stages.insert(0, [(np.logical_not((0.0 < value) & (value < 1.0)),
+                           f"{axis} must lie in (0, 1), got {{value}}")])
+    stages += [[(g[b] <= 0.0, fault)] for b, fault in (  # the cold one is its profile's own
+        ("h", "beta_h must be > 0 so that the hot profile has g > 0"),
+        ("c", "bath parameter g must lie in (0, 1], got {g_c}")) if b in g_baths]
+    stages += [[(v[f"tau_{b}"] > p.t_max, f"t = {{tau_{b}}} outside tabulated domain "
+                                           f"[{{profile_{b}.t_min}}, {{profile_{b}.t_max}}]")]
+               for b, p in profiles.items() if ends and p is not None]
+    return stages, {**vars(c), "tau": tau, "g_h": g["h"], "g_c": g["c"], "value": value}
+
+
+def _faults(c: CycleConfig, n: int = 1, **scope) -> tuple[np.ndarray, list[tuple]]:
+    """The n rows of ``c`` (a point is row 0) under the ``_rules`` that ``scope`` selects:
+    the mask of the rows that pass, and each row's messages, from its first failing stage."""
+    stages, values = _rules(c, **scope)
+    valid, faults = np.ones(n, dtype=bool), [()] * n
+    for stage in stages:
+        hits = [(valid & bad, template) for bad, template in stage
+                if (bad.any() if isinstance(bad, np.ndarray) else bad)]
+        for hit, template in hits:
+            valid = valid & ~hit
+            columns = {key: x.tolist() for key, x in values.items() if isinstance(x, np.ndarray)}
+            for k in np.flatnonzero(hit).tolist():
+                row = {**values, **{key: x[k] for key, x in columns.items()}}
+                faults[k] += (template.format_map(row),)
+    return valid, faults
+
+
+def _require(c: CycleConfig, *more: str, **scope) -> None:
+    """Raise the faults of the point ``c`` (see ``_faults``), and ``more``, together."""
+    faults = [*_faults(c, **scope)[1][0], *more]
+    if faults:
+        raise ConfigError(faults)
 
 
 def build_config(omega_c: float, omega_h: float, beta_c: float, beta_h: float,
@@ -169,14 +188,15 @@ def build_config(omega_c: float, omega_h: float, beta_c: float, beta_h: float,
 
     Each spec is markovian, nonmarkovian or tabulated:PATH; ``kind_c``
     defaults to ``kind_h``, and each profile's g is tanh(beta * omega) of its
-    bath. Field faults and non-string specs raise one ConfigError first.
+    bath. Field faults, a hot bath at g = 0 and non-string specs raise one ConfigError first.
     """
     kind_c = kind_h if kind_c is _HOT_SPEC else kind_c
     config = CycleConfig(omega_c=omega_c, omega_h=omega_h, beta_c=beta_c, beta_h=beta_h,
                          tau_h=tau_h, tau_c=tau_c, tau_u1=tau_u1, tau_u2=tau_u2)
-    _require_fields(config, *(f"{name} must be a string, got {kind!r}"
-                              for name, kind in (("profile_h", kind_h), ("profile_c", kind_c))
-                              if not isinstance(kind, str)))
+    # the cold profile's constructor checks its g > 0, after the faults of the hot spec
+    _require(config, *(f"{name} must be a string, got {kind!r}"
+                       for name, kind in (("profile_h", kind_h), ("profile_c", kind_c))
+                       if not isinstance(kind, str)), g_baths="h")
     return replace(config, profile_h=profile_from_spec(kind_h, config.g_h),
                    profile_c=profile_from_spec(kind_c, config.g_c))
 
@@ -336,8 +356,8 @@ def weak_cycle(config: CycleConfig) -> CycleReport:
 
 def strong_cycle(config: CycleConfig) -> CycleReport:
     """Strongly coupled cycle evaluated from the closed-form stroke scalars: the
-    one-point case of ``strong_cycle_sweep``."""
-    config.validate(need_profiles=True)
+    one-point case of ``strong_cycle_sweep``, judged by the same rule table."""
+    _require(config, need_profiles=True, ends=True)
     return _report(config, *_closed_form_cycle(
         config, config.profile_h.thermal_weight(config.tau_h),
         config.profile_c.thermal_weight(config.tau_c)))
@@ -370,7 +390,7 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     connection cost; its heat, end state and disconnection cost are read off
     the joint state it ends in.
     """
-    config.validate(need_profiles=True)
+    _require(config, need_profiles=True, ends=True)
     wc, wh = config.omega_c, config.omega_h
     ph, pc = config.profile_h, config.profile_c
 
@@ -430,8 +450,10 @@ SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "b
 
 
 def _set_axis(config: CycleConfig, axis: str, value) -> CycleConfig:
-    """Unvalidated copy of a config with ``axis``, one of ``SWEEP_AXES``, set to ``value``,
-    a float or an ndarray; a g axis sets its bath's beta to arctanh(value) / omega."""
+    """Copy of a config with ``axis``, one of ``SWEEP_AXES``, set to ``value``, a float or
+    an ndarray, unvalidated; a g axis sets its bath's beta to arctanh(value) / omega."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError([f"unknown sweep axis '{axis}'"])
     if axis in ("g_h", "g_c"):
         bath = axis[-1]
         return replace(config, **{f"beta_{bath}":
@@ -454,14 +476,11 @@ def apply_axis(config: CycleConfig, axis: str, value: float) -> CycleConfig:
 
     Changing a frequency or temperature rebuilds the matching profile with
     the implied g; changing g_h or g_c adjusts the corresponding beta. The
-    copy is validated before its profile is rebuilt.
+    copy is validated, by the rule table, before its profile is rebuilt.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError([f"unknown sweep axis '{axis}'"])
-    if axis in ("g_h", "g_c") and not 0.0 < value < 1.0:
-        raise ConfigError([f"{axis} must lie in (0, 1), got {value}"])
-    cfg = _set_axis(config, axis, value)
-    _require_fields(cfg)
+    with np.errstate(all="ignore"):  # a g outside (0, 1) has no arctanh; a rule names it
+        cfg = _set_axis(config, axis, value)
+    _require(cfg, g_baths="hc", axis=axis, value=value)
     return _rebuild_profile(cfg, axis)
 
 
@@ -471,9 +490,8 @@ class CycleSweep:
 
     ``metrics`` maps each ``CycleReport`` metric (``work_total``, ``regime``...)
     to its array over the rows, ``strokes`` each stroke to its ``EnergyLedger``
-    of arrays. A row that is not ``valid`` holds NaN there (regime "") and, in
-    ``errors``, the message ``strong_cycle(apply_axis(base, axis, value))``
-    raises; valid rows hold "".
+    of arrays. A row that is not ``valid`` holds NaN there (regime "") and its
+    messages in ``errors``; valid rows hold "".
     """
 
     values: np.ndarray
@@ -487,24 +505,17 @@ def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
     """The strong cycle of ``base`` with ``axis`` (one of ``SWEEP_AXES``) set to each of
     ``values``, a 1-d grid, the closed forms evaluated once on whole columns.
 
-    Row by row the result is bit for bit ``strong_cycle(apply_axis(base, axis, value))``.
-    A vectorized mask stands in for ``CycleConfig.problems`` and the profile checks;
-    only the rows it rejects take the scalar route, for their error message. ``base``
-    must itself be valid (``validate(need_profiles=True)``).
+    Row by row the result is bit for bit ``strong_cycle`` on ``apply_axis``'s config for
+    the row's value; the rule table judges every row at once and formats the rejected
+    rows' messages. ``base`` must itself be valid (``validate(need_profiles=True)``).
     """
     base.validate(need_profiles=True)
-    if axis not in SWEEP_AXES:
-        raise ConfigError([f"unknown sweep axis '{axis}'"])
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ConfigError([f"sweep values must form a 1-d grid, got shape {values.shape}"])
     with np.errstate(all="ignore"):
-        swept = _set_axis(base, axis, values)
-        valid = ((0.0 < values) & (values < 1.0) if axis in ("g_h", "g_c")
-                 else np.ones(values.shape, dtype=bool))
-        # a bath of g = 0 has no profile; a tabulated profile ends at its last sample
-        valid &= _fields_valid(swept) & (swept.g_h > 0.0) & (swept.g_c > 0.0)
-        valid &= (swept.tau_h <= base.profile_h.t_max) & (swept.tau_c <= base.profile_c.t_max)
+        valid, faults = _faults(_set_axis(base, axis, values), values.size,
+                                g_baths="hc", ends=True, axis=axis, value=values)
         rows = _rebuild_profile(_set_axis(base, axis, values[valid]), axis)
         metrics, strokes = _closed_form_cycle(rows, rows.profile_h.thermal_weight(rows.tau_h),
                                               rows.profile_c.thermal_weight(rows.tau_c))
@@ -514,22 +525,10 @@ def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
         out[valid] = column
         return out
 
-    errors = [""] * values.size
-    for index in np.flatnonzero(~valid):
-        errors[index] = _sweep_error(base, axis, float(values[index]))
     return CycleSweep(
-        values=values, valid=valid, errors=errors,
+        values=values, valid=valid, errors=["; ".join(row) for row in faults],
         metrics={name: scatter(column, "" if name == "regime" else math.nan)
                  for name, column in metrics.items()},
         strokes={name: EnergyLedger._make(map(scatter, ledger))
                  for name, ledger in strokes.items()})
 
-
-def _sweep_error(base: CycleConfig, axis: str, value: float) -> str:
-    """The message ``strong_cycle(apply_axis(base, axis, value))`` raises, for a sweep row
-    the mask rejects."""
-    try:
-        strong_cycle(apply_axis(base, axis, value))
-    except (ValueError, QottoError) as exc:
-        return str(exc)
-    raise AssertionError(f"the sweep mask rejects {axis} = {value}, which strong_cycle accepts")

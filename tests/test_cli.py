@@ -444,6 +444,17 @@ class TestCsvContract:
 
 
 class TestExitCodes:
+    # numpy refuses a 72.8 TiB grid before it allocates anything
+    @pytest.mark.parametrize("argv", [["sweep", "--sweep", "tau_h:0:1:10000000000000"],
+                                      ["dynamics", "--points", "10000000000000"],
+                                      ["witness", "--points", "10000000000000"]], ids=" ".join)
+    def test_grid_beyond_memory_is_runtime_error(self, argv, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "grid.csv")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"runtime error: Unable to allocate 72\.8 TiB for an array with "
+                            r"shape \(10000000000000,\) and data type (float|int)64\n", err)
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_audit_failure_exits_three(self, tmp_path, monkeypatch):
         from qotto import cycle as cycle_mod
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qotto import linalg, thermo
-from qotto.cycle import (NUMERIC_FIELDS, STROKE_ORDER, SWEEP_AXES, CycleConfig,
-                         _fields_valid, apply_axis, build_config, strong_cycle_sweep,
+from qotto.cycle import (STROKE_ORDER, SWEEP_AXES, CycleConfig,
+                         apply_axis, build_config, strong_cycle_sweep,
                          classify_regime, max_energy_deviation,
                          stroke_entropy_production_trace, strong_cycle,
                          strong_cycle_via_oracle, weak_cycle)
@@ -549,6 +549,73 @@ def _bits(value) -> str:
     return float(value).hex()
 
 
+def _rejecting_base(name: str) -> CycleConfig:
+    """A valid base config for the rejected-row cases; "tiny" has baths whose beta*omega
+    underflows to 0 at small but positive beta or omega."""
+    if name == "tabulated":
+        config = build_config(1.0, 2.0, 1.0, 0.2, 2.0, 2.0)
+        return replace(config, profile_h=TabulatedProfile(g=config.g_h, **_TABLE),
+                       profile_c=TabulatedProfile(g=config.g_c, **_TABLE))
+    return {"markovian": build_config(1.0, 2.0, 1.0, 0.2, 2.0, 1e308),
+            "nonmarkovian": build_config(1.0, 2.0, 1.0, 0.2, 1e308, 2.0, kind_h="nonmarkovian"),
+            "tiny": build_config(1e-300, 0.4, 0.4, 1e-31, 2.0, 2.0)}[name]
+
+
+_NAN, _INF = math.nan, math.inf
+# (base, axis, values, error cells): rows that every rule rejects in turn, on all 8 axes
+_REJECTED_ROWS = [
+    ("markovian", "tau_h", [_NAN, _INF, -_INF, -1.0, 1e308], [
+        "tau_h must be finite, got nan", "tau_h must be finite, got inf",
+        "tau_h must be finite, got -inf", "tau_h must be >= 0, got -1.0",
+        "the total duration tau_u1 + tau_h + tau_u2 + tau_c must be finite, got inf"]),
+    ("nonmarkovian", "tau_c", [_NAN, -_INF, -0.5, 1e308], [
+        "tau_c must be finite, got nan", "tau_c must be finite, got -inf",
+        "tau_c must be >= 0, got -0.5",
+        "the total duration tau_u1 + tau_h + tau_u2 + tau_c must be finite, got inf"]),
+    ("markovian", "g_h", [-0.5, 0.0, 1.0, 1.5, _NAN, _INF, 0.99], [
+        "g_h must lie in (0, 1), got -0.5", "g_h must lie in (0, 1), got 0.0",
+        "g_h must lie in (0, 1), got 1.0", "g_h must lie in (0, 1), got 1.5",
+        "g_h must lie in (0, 1), got nan", "g_h must lie in (0, 1), got inf",
+        "beta_c must exceed beta_h, got 1.0 <= 1.3233262061811228"]),
+    ("nonmarkovian", "g_c", [0.0, -1.0, 1.0, _NAN, 0.1], [
+        "g_c must lie in (0, 1), got 0.0", "g_c must lie in (0, 1), got -1.0",
+        "g_c must lie in (0, 1), got 1.0", "g_c must lie in (0, 1), got nan",
+        "beta_c must exceed beta_h, got 0.10033534773107558 <= 0.2"]),
+    ("markovian", "omega_h", [_NAN, _INF, -1.0, 0.0, 0.5, 1.0], [
+        "omega_h must be finite, got nan", "omega_h must be finite, got inf",
+        "omega_h must be > 0, got -1.0", "omega_h must be > 0, got 0.0",
+        "omega_h must exceed omega_c, got 0.5 <= 1.0",
+        "omega_h must exceed omega_c, got 1.0 <= 1.0"]),
+    ("nonmarkovian", "omega_c", [_NAN, -_INF, -1.0, 0.0, 2.0, 3.0], [
+        "omega_c must be finite, got nan", "omega_c must be finite, got -inf",
+        "omega_c must be > 0, got -1.0", "omega_c must be > 0, got 0.0",
+        "omega_h must exceed omega_c, got 2.0 <= 2.0",
+        "omega_h must exceed omega_c, got 2.0 <= 3.0"]),
+    ("tiny", "omega_c", [5e-324], ["bath parameter g must lie in (0, 1], got 0.0"]),
+    ("markovian", "beta_h", [_NAN, -0.5, 0.0, 1.0, 2.0, _INF], [
+        "beta_h must be finite, got nan", "beta_h must be >= 0, got -0.5",
+        "beta_h must be > 0 so that the hot profile has g > 0",
+        "beta_c must exceed beta_h, got 1.0 <= 1.0", "beta_c must exceed beta_h, got 1.0 <= 2.0",
+        "beta_h must be finite, got inf"]),
+    ("tiny", "beta_h", [5e-324], ["beta_h must be > 0 so that the hot profile has g > 0"]),
+    ("markovian", "beta_c", [_NAN, 0.2, 0.1, -1.0, _INF, 0.0], [
+        "beta_c must be finite, got nan", "beta_c must exceed beta_h, got 0.2 <= 0.2",
+        "beta_c must exceed beta_h, got 0.1 <= 0.2", "beta_c must exceed beta_h, got -1.0 <= 0.2",
+        "beta_c must be finite, got inf", "beta_c must exceed beta_h, got 0.0 <= 0.2"]),
+    ("tiny", "beta_c", [1e-30], ["bath parameter g must lie in (0, 1], got 0.0"]),
+    ("tabulated", "tau_h", [7.0, _NAN, -1.0], [
+        "t = 7.0 outside tabulated domain [0.01, 6.0]", "tau_h must be finite, got nan",
+        "tau_h must be >= 0, got -1.0"]),
+    ("tabulated", "tau_c", [6.5, _INF], [
+        "t = 6.5 outside tabulated domain [0.01, 6.0]", "tau_c must be finite, got inf"]),
+    ("tabulated", "g_h", [1.0, 0.99], [
+        "g_h must lie in (0, 1), got 1.0",
+        "beta_c must exceed beta_h, got 1.0 <= 1.3233262061811228"]),
+    ("tabulated", "omega_c", [0.0, 2.5], [
+        "omega_c must be > 0, got 0.0", "omega_h must exceed omega_c, got 2.0 <= 2.5"]),
+]
+
+
 class TestStrongCycleSweep:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(sweep_cases())
@@ -571,14 +638,51 @@ class TestStrongCycleSweep:
                 for field, column in zip(EnergyLedger._fields, sweep.strokes[name]):
                     assert _bits(column[k]) == _bits(getattr(ledger, field)), (name, field)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.fixed_dictionaries(
-        {name: st.one_of(st.floats(-1.0, 5.0), st.sampled_from(_EDGES))
-         for name in NUMERIC_FIELDS}), min_size=1, max_size=8))
-    def test_mask_agrees_with_problems(self, rows):
-        mask = _fields_valid(CycleConfig(**{name: np.array([row[name] for row in rows])
-                                            for name in NUMERIC_FIELDS}))
-        assert mask.tolist() == [CycleConfig(**row).problems() == [] for row in rows]
+    @pytest.mark.parametrize("base, axis, values, cells", _REJECTED_ROWS,
+                             ids=[f"{base}-{axis}" for base, axis, *_ in _REJECTED_ROWS])
+    def test_rejected_rows_take_no_one_point_route(self, base, axis, values, cells,
+                                                   monkeypatch):
+        from qotto import cycle as cycle_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sweep row went through a one-point route")
+        monkeypatch.setattr(cycle_mod, "strong_cycle", forbidden)
+        monkeypatch.setattr(cycle_mod, "apply_axis", forbidden)
+        sweep = strong_cycle_sweep(_rejecting_base(base), axis, values)
+        assert not sweep.valid.any()
+        assert sweep.errors == cells
+
+    @pytest.mark.parametrize("base, axis, value, cell", [
+        ((1, 2, 1, 0.2, 2, 2), "beta_h", 0.0,
+         "beta_h must be > 0 so that the hot profile has g > 0"),
+        ((1, 2, 1, 0.2, 2, 2), "beta_h", 1e-320, ""),
+        ((1, 2, 1, 0.2, 2, 2), "omega_h", math.nan, "omega_h must be finite, got nan"),
+        # omega_c is the int 1 here, and a message shows a field as it was given
+        ((1, 2, 1, 0.2, 2, 2), "omega_h", 0.5, "omega_h must exceed omega_c, got 0.5 <= 1"),
+        ((1, 2, 1, 0.2, 2, 2), "g_h", 1.0, "g_h must lie in (0, 1), got 1.0"),
+        ((1, 2, 1e-10, 1e-11, 2, 2), "omega_c", 1e-320,
+         "bath parameter g must lie in (0, 1], got 0.0"),
+        ((1, 2, 1e-10, 1e-11, 2, 2), "g_c", 5e-324,
+         "beta_c must exceed beta_h, got 5e-324 <= 1e-11")])
+    def test_precedence_edges(self, base, axis, value, cell):
+        config = build_config(*base)
+        sweep = strong_cycle_sweep(config, axis, [value])
+        assert sweep.errors == [cell] and sweep.valid.tolist() == [cell == ""]
+        if cell:
+            with pytest.raises(ConfigError) as err:
+                apply_axis(config, axis, value)
+            assert str(err.value) == cell
+        else:
+            assert apply_axis(config, axis, value).profile_h.g > 0.0
+
+    def test_table_end_is_a_rule(self):
+        config = _rejecting_base("tabulated")
+        sweep = strong_cycle_sweep(config, "tau_h", [5.0, 6.0, 6.000000000000001])
+        assert sweep.valid.tolist() == [True, True, False]
+        assert sweep.errors[2] == "t = 6.000000000000001 outside tabulated domain [0.01, 6.0]"
+        for route in (strong_cycle, strong_cycle_via_oracle):  # the oracle names tau_h too
+            with pytest.raises(ConfigError, match=f"^{re.escape(sweep.errors[2])}$"):
+                route(replace(config, tau_h=6.000000000000001))
 
     def test_unknown_axis_and_invalid_base(self):
         config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0)
