@@ -217,20 +217,16 @@ def run_witness_scan(args) -> int:
 
 
 def _stroke_rows(report: CycleReport, oracle: CycleReport | None) -> tuple[list, list]:
-    header = ["stroke", "work", "heat", "energy_initial", "energy_final",
-              "entropy_production"]
+    header = ["stroke", "work", "heat", "energy_initial", "energy_final", "entropy_production"]
     if oracle is not None:
         header += ["work_oracle", "heat_oracle"]
     rows = []
     for name in STROKE_ORDER:
-        lg = report.strokes[name]
-        row = [name, lg.work, lg.heat, lg.internal_energy_initial,
-               lg.internal_energy_final, lg.entropy_production]
+        row = [name, *report.strokes[name]]  # an EnergyLedger's entries are in header order
         if oracle is not None:
             row += [oracle.strokes[name].work, oracle.strokes[name].heat]
         rows.append(row)
-    first = report.strokes[STROKE_ORDER[0]]
-    last = report.strokes[STROKE_ORDER[-1]]
+    first, last = report.strokes[STROKE_ORDER[0]], report.strokes[STROKE_ORDER[-1]]
     total = ["total", report.work_total, report.heat_hot + report.heat_cold,
              first.internal_energy_initial, last.internal_energy_final,
              sum(report.strokes[n].entropy_production for n in STROKE_ORDER)]
@@ -276,8 +272,7 @@ def run_cycle(args) -> int:
         if getattr(profile, "head_phase_approximated", False):
             meta[f"{name}.head_phase_approximated"] = True
     if oracle is not None:
-        oracle_dev = max_energy_deviation(report, oracle)
-        meta["oracle_max_energy_deviation"] = oracle_dev
+        meta["oracle_max_energy_deviation"] = oracle_dev = max_energy_deviation(report, oracle)
         relative_dev = oracle_dev / config.omega_h  # in units of omega_h, as the law audits
         audits["oracle_match"] = (relative_dev, relative_dev <= TOL.oracle_cycle_match)
     out = _resolve_out(args.out)
@@ -287,22 +282,16 @@ def run_cycle(args) -> int:
     failed = [name for name, (_, ok) in audits.items() if not ok]
     if failed:
         print(f"audit failure: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_AUDIT
-    return EXIT_OK
+    return EXIT_AUDIT if failed else EXIT_OK
 
 
-# sweep metric columns in CSV order, each with the sweep metric it holds; a stroke
-# name stands for the stroke's work
-_SWEEP_METRICS = {
-    "work": "work_total",
-    **{name: name for name in (
-        "heat_hot", "heat_cold", "eta", "power", "kappa", "cop", "eta0", "power0", "kappa0",
-        "cop0", "carnot_eta", "carnot_cop", "thermal_weight_hot", "thermal_weight_cold")},
-    **{f"w_{stroke}": stroke
-       for stroke in ("connect_hot", "disconnect_hot", "connect_cold", "disconnect_cold")},
-    "cyclicity_residual": "cyclicity_residual",
-    "energy_residual": "energy_residual",
-}
+# sweep metric columns in CSV order: CycleReport metrics, "work" for work_total and
+# w_STROKE for the work of a coupling switch (CycleReport.boundary_works)
+_SWEEP_METRICS = (
+    "work", "heat_hot", "heat_cold", "eta", "power", "kappa", "cop", "eta0", "power0", "kappa0",
+    "cop0", "carnot_eta", "carnot_cop", "thermal_weight_hot", "thermal_weight_cold",
+    "w_connect_hot", "w_disconnect_hot", "w_connect_cold", "w_disconnect_cold",
+    "cyclicity_residual", "energy_residual")
 
 
 def run_sweep(args) -> int:
@@ -330,15 +319,24 @@ def run_sweep(args) -> int:
 
     base, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
     sweep = strong_cycle_sweep(base, axis, np.linspace(lo, hi, count))
-    metrics = {**sweep.metrics, **{name: ledger.work for name, ledger in sweep.strokes.items()}}
+    report = sweep.report
+    cells = {**vars(report), "work": report.work_total,
+             **{f"w_{name}": work for name, work in report.boundary_works().items()}}
     header = ["index", axis, "valid", "regime", *_SWEEP_METRICS, "error"]
     columns = [range(count), sweep.values, sweep.valid.astype(int),
-               np.where(sweep.valid, sweep.metrics["regime"], "skipped"),
-               *(metrics[key] for key in _SWEEP_METRICS.values()), sweep.errors]
+               np.where(sweep.valid, report.regime, "skipped"),
+               *(cells[key] for key in _SWEEP_METRICS), sweep.errors]
     meta = {"command": "sweep", "axis": axis, "lo": lo, "hi": hi, "count": count,
             "seed": args.seed, **config_meta}
     _write_csv(_resolve_out(args.out), header, _columns_csv(columns), meta)
-    return EXIT_OK
+
+    # the valid rows' law audits, as cycle's; a rejected row is no cycle to audit
+    failed = {name: sweep.valid & ~ok for name, (_, ok) in report.law_audits().items()}
+    rows = np.flatnonzero(np.any(list(failed.values()), axis=0)).tolist()
+    for k in rows:
+        print(f"audit failure: row {k} ({axis} = {_fmt(sweep.values[k])}): "
+              + ", ".join(name for name, bad in failed.items() if bad[k]), file=sys.stderr)
+    return EXIT_AUDIT if rows else EXIT_OK
 
 
 # --- entry point --------------------------------------------------------------

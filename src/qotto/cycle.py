@@ -12,17 +12,16 @@ weights sin^2 F of the contact strokes:
 The weak-coupling cycle is the same closed form at sin^2 F_h = sin^2 F_c = 1,
 so one routine evaluates both.
 
-The closed-form and oracle routes share one cycle skeleton (``_cycle``): the
-quenches, the entropy productions, the stroke energies and the metrics. They
-differ only in their two contacts, which the oracle integrates numerically.
-Each numeric field of a ``CycleConfig``, and each entry of an ``EnergyLedger``,
-is a float or an ndarray, and the skeleton and the closed forms work
-elementwise: ``strong_cycle_sweep`` evaluates a whole grid over one swept
-parameter at once, on a config whose swept field is a column, and
-``strong_cycle``, ``weak_cycle`` and ``strong_cycle_via_oracle`` are its
-one-point case. ``_report`` turns one point's values into a report. One helper
-sets a swept parameter (``_set_axis``), one rebuilds the profile it changes
-(``_rebuild_profile``) and one rule table (``_rules``) judges a point or a grid.
+The closed-form and oracle routes share one cycle skeleton (``_cycle``), which
+builds the ``CycleReport`` (quenches, entropy productions, stroke energies,
+metrics); the oracle integrates the two contacts numerically. Each numeric field
+of a ``CycleConfig`` and each entry of a ``CycleReport`` is a float or an ndarray,
+and the skeleton, the closed forms and the law audits work elementwise:
+``strong_cycle_sweep`` evaluates and audits a whole grid over one swept parameter
+at once, and ``strong_cycle``, ``weak_cycle`` and ``strong_cycle_via_oracle`` are
+its one-point case. One helper sets a swept parameter (``_set_axis``), one
+rebuilds the profile it changes (``_rebuild_profile``) and one rule table
+(``_rules``) judges a point or a grid.
 
 Partial thermalization in the final stroke breaks exact cyclicity; the
 report carries the residual instead of silently assuming closure.
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -149,7 +148,8 @@ def _rules(c: CycleConfig, need_profiles: bool = False, g_baths: str = "",
         stages.insert(0, [(np.logical_not((0.0 < value) & (value < 1.0)),
                            f"{axis} must lie in (0, 1), got {{value}}")])
     stages += [[(g[b] <= 0.0, fault)] for b, fault in (  # the cold one is its profile's own
-        ("h", "beta_h must be > 0 so that the hot profile has g > 0"),
+        ("h", "beta_h * omega_h must be > 0 so that the hot profile has g > 0, "
+              "got {beta_h} * {omega_h}"),
         ("c", "bath parameter g must lie in (0, 1], got {g_c}")) if b in g_baths]
     stages += [[(v[f"tau_{b}"] > p.t_max, f"t = {{tau_{b}}} outside tabulated domain "
                                            f"[{{profile_{b}.t_min}}, {{profile_{b}.t_max}}]")]
@@ -203,56 +203,64 @@ def build_config(omega_c: float, omega_h: float, beta_c: float, beta_h: float,
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Per-stroke energy ledger plus derived performance metrics and law audits."""
+    """Per-stroke ledger, metrics and law audits: floats for one cycle, columns for a sweep."""
 
     config: CycleConfig
     strokes: dict
-    work_total: float
-    heat_hot: float
-    heat_cold: float
-    tau: float
-    thermal_weight_hot: float
-    thermal_weight_cold: float
-    eta: float
-    power: float
-    kappa: float
-    cop: float
-    regime: str
-    eta0: float
-    power0: float
-    kappa0: float
-    cop0: float
-    carnot_eta: float
-    carnot_cop: float
-    cyclicity_residual: float
-    energy_residual: float
+    work_total: float | np.ndarray
+    heat_hot: float | np.ndarray
+    heat_cold: float | np.ndarray
+    tau: float | np.ndarray
+    thermal_weight_hot: float | np.ndarray
+    thermal_weight_cold: float | np.ndarray
+    eta: float | np.ndarray
+    power: float | np.ndarray
+    kappa: float | np.ndarray
+    cop: float | np.ndarray
+    regime: str | np.ndarray
+    eta0: float | np.ndarray
+    power0: float | np.ndarray
+    kappa0: float | np.ndarray
+    cop0: float | np.ndarray
+    carnot_eta: float | np.ndarray
+    carnot_cop: float | np.ndarray
+    cyclicity_residual: float | np.ndarray
+    energy_residual: float | np.ndarray
 
-    def boundary_works(self) -> dict[str, float]:
+    def boundary_works(self) -> dict:
         return {name: self.strokes[name].work for name in STROKE_ORDER if "connect" in name}
 
-    def law_audits(self) -> dict[str, tuple[float, bool]]:
-        """name -> (value, passed). All tolerances come from the shared record.
+    def law_audits(self) -> dict:
+        """name -> (value, passed): a float and a bool, or for a sweep two columns.
 
-        The energy audits (first law, boundary work) judge their residual in
-        units of omega_h, which bounds every stroke energy, so a verdict does
-        not depend on the arbitrary unit of energy; the entropy and Carnot
-        audits are dimensionless already.
+        Tolerances come from the shared record. The energy audits (first law,
+        boundary work) judge their residual in units of omega_h, which bounds every
+        stroke energy, so a verdict does not depend on the unit of energy; the
+        entropy and Carnot audits are dimensionless. ``first_law_cycle`` applies where
+        the cold contact thermalizes fully, ``carnot`` to an engine or a refrigerator;
+        an audit that applies to no row is left out, and a row it skips holds NaN and passes.
         """
-        out = {}
-        scale = self.config.omega_h
-        stroke_res = max(abs(lg.first_law_residual) for lg in self.strokes.values()) / scale
-        out["first_law_strokes"] = (stroke_res, stroke_res <= TOL.first_law)
-        cycle_res = abs(self.work_total + self.heat_hot + self.heat_cold) / scale
-        if self.thermal_weight_cold >= 1.0 - TOL.full_thermalization:
-            out["first_law_cycle"] = (cycle_res, cycle_res <= TOL.first_law)
-        min_sigma = min(lg.entropy_production for lg in self.strokes.values())
-        out["entropy_production"] = (min_sigma, min_sigma >= TOL.entropy_production_floor)
-        boundary = max(abs(w) for w in self.boundary_works().values()) / scale
-        out["boundary_work"] = (boundary, boundary <= TOL.boundary_work)
-        if self.regime == "engine":
-            out["carnot"] = (self.eta, self.eta <= self.carnot_eta + TOL.carnot_slack)
-        elif self.regime == "refrigerator":
-            out["carnot"] = (self.cop, self.cop <= self.carnot_cop + TOL.carnot_slack)
+        with np.errstate(all="ignore"):  # quiet, as Python floats: an inf - inf residual is NaN
+            scale, ledgers = self.config.omega_h, self.strokes.values()
+            strokes = np.max([abs(lg.first_law_residual) for lg in ledgers], axis=0) / scale
+            cycle = abs(self.work_total + self.heat_hot + self.heat_cold) / scale
+            sigma = np.min([lg.entropy_production for lg in ledgers], axis=0)
+            boundary = np.max([abs(w) for w in self.boundary_works().values()], axis=0) / scale
+            engine = self.regime == "engine"
+            carnot = np.where(engine, self.eta, self.cop)
+            bound = np.where(engine, self.carnot_eta, self.carnot_cop) + TOL.carnot_slack
+            audits = {  # name -> (value, passed, where the audit applies)
+                "first_law_strokes": (strokes, strokes <= TOL.first_law, True),
+                "first_law_cycle": (cycle, cycle <= TOL.first_law,
+                                    self.thermal_weight_cold >= 1.0 - TOL.full_thermalization),
+                "entropy_production": (sigma, sigma >= TOL.entropy_production_floor, True),
+                "boundary_work": (boundary, boundary <= TOL.boundary_work, True),
+                "carnot": (carnot, carnot <= bound, engine | (self.regime == "refrigerator"))}
+        out, point = {}, isinstance(self.regime, str)
+        for name, (value, ok, applies) in audits.items():
+            if np.any(applies):
+                value, ok = np.where(applies, value, math.nan), np.where(applies, ok, True)
+                out[name] = (float(value), bool(ok)) if point else (value, ok)
         return out
 
 
@@ -272,8 +280,7 @@ def _binary_entropy(p):
     return s
 
 
-def _cycle(c: CycleConfig, hot: tuple, cold: tuple, w_cd, work, sw_h,
-           sw_c) -> tuple[dict, dict]:
+def _cycle(c: CycleConfig, hot: tuple, cold: tuple, w_cd, work, sw_h, sw_c) -> CycleReport:
     """The cycle around a hot and a cold contact of thermal weights sw_h and sw_c.
 
     Each contact is ``(p_end, heat, energy_end, (w_connect, w_disconnect))``:
@@ -289,61 +296,62 @@ def _cycle(c: CycleConfig, hot: tuple, cold: tuple, w_cd, work, sw_h,
     routes; the oracle's 4x4 relative entropy would diverge numerically once
     the bath's upper level rounds to zero.
 
-    Every value is a float or an ndarray, taken elementwise. Returns each
-    ``CycleReport`` metric by name, and each stroke's ``EnergyLedger`` by name.
+    Every value is a float or an ndarray, taken elementwise, and so is each entry of
+    the report. Callers enter ``np.errstate(all="ignore")``: np.where evaluates both
+    branches, and the unguarded one may divide by zero or overflow.
     """
-    # np.where evaluates both branches: the unguarded one may divide by zero or overflow
-    with np.errstate(all="ignore"):
-        wc, wh = c.omega_c, c.omega_h
-        g_c, g_h = c.g_c, c.g_h
-        p_c1, q_h, e_c1, (w_con_h, w_dis_h) = hot
-        p_a0, q_c, e_a0, (w_con_c, w_dis_c) = cold
-        w_ab = (wc - wh) * g_c
-        e_b = -wh * g_c
-        e_d = wc * (2.0 * p_c1 - 1.0)
-        work = w_ab + w_cd if work is None else work
+    wc, wh = c.omega_c, c.omega_h
+    g_c, g_h = c.g_c, c.g_h
+    p_c1, q_h, e_c1, (w_con_h, w_dis_h) = hot
+    p_a0, q_c, e_a0, (w_con_c, w_dis_c) = cold
+    w_ab = (wc - wh) * g_c
+    e_b = -wh * g_c
+    e_d = wc * (2.0 * p_c1 - 1.0)
+    work = w_ab + w_cd if work is None else work
 
-        s_a1, s_c1 = _binary_entropy((1.0 - g_c) / 2.0), _binary_entropy(p_c1)
-        sigma_h = np.where(sw_h > 0.0, s_c1 - s_a1 - c.beta_h * q_h, 0.0)
-        sigma_c = np.where(sw_c > 0.0, _binary_entropy(p_a0) - s_c1 - c.beta_c * q_c, 0.0)
-        strokes = {
-            "quench_up": EnergyLedger(w_ab, 0.0, -wc * g_c, e_b, 0.0),
-            "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h, 0.0),
-            "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
-            "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h, 0.0),
-            "quench_down": EnergyLedger(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h, 0.0),
-            "connect_cold": EnergyLedger(w_con_c, 0.0, e_d, e_d + w_con_c, 0.0),
-            "cold_contact": EnergyLedger(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
-            "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c, 0.0),
-        }
+    s_a1, s_c1 = _binary_entropy((1.0 - g_c) / 2.0), _binary_entropy(p_c1)
+    sigma_h = np.where(sw_h > 0.0, s_c1 - s_a1 - c.beta_h * q_h, 0.0)
+    sigma_c = np.where(sw_c > 0.0, _binary_entropy(p_a0) - s_c1 - c.beta_c * q_c, 0.0)
+    strokes = {
+        "quench_up": EnergyLedger(w_ab, 0.0, -wc * g_c, e_b, 0.0),
+        "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h, 0.0),
+        "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
+        "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h, 0.0),
+        "quench_down": EnergyLedger(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h, 0.0),
+        "connect_cold": EnergyLedger(w_con_c, 0.0, e_d, e_d + w_con_c, 0.0),
+        "cold_contact": EnergyLedger(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
+        "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c, 0.0),
+    }
 
-        tau = c.tau
+    tau, w0 = c.tau, (wc - wh) * (g_c - g_h)
 
-        def per_time(x):
-            return np.where(tau > 0.0, np.divide(x, tau), math.nan)
+    def per_time(x):
+        return np.where(tau > 0.0, np.divide(x, tau), math.nan)
 
-        w0 = (wc - wh) * (g_c - g_h)
-        carnot_cop = np.where(c.beta_h > 0.0, c.beta_h / (c.beta_c - c.beta_h), 0.0)
-        metrics = dict(
-            work_total=work, heat_hot=q_h, heat_cold=q_c,
-            tau=tau, thermal_weight_hot=sw_h, thermal_weight_cold=sw_c,
-            eta=np.where(q_h != 0.0, np.divide(-work, q_h), math.nan),
-            power=per_time(-work), kappa=per_time(q_c),
-            cop=np.where(work != 0.0, np.divide(q_c, work), math.nan),
-            regime=classify_regime(q_h, q_c, work),
-            eta0=1.0 - wc / wh, power0=per_time(-w0), kappa0=per_time(wc * (g_h - g_c)),
-            cop0=wc / (wh - wc), carnot_eta=1.0 - c.beta_h / c.beta_c,
-            carnot_cop=carnot_cop, cyclicity_residual=abs(p_a0 - (1.0 - g_c) / 2.0),
-            energy_residual=work + q_h + q_c)
-    return metrics, strokes
-
-
-def _report(config: CycleConfig, metrics: dict, strokes: dict) -> CycleReport:
-    """The report of one point of ``_cycle``, its entries turned into floats."""
     return CycleReport(
-        config=config, regime=str(metrics["regime"]),
-        strokes={name: EnergyLedger._make(map(float, strokes[name])) for name in STROKE_ORDER},
-        **{name: float(value) for name, value in metrics.items() if name != "regime"})
+        config=c, strokes=strokes, work_total=work, heat_hot=q_h, heat_cold=q_c,
+        tau=tau, thermal_weight_hot=sw_h, thermal_weight_cold=sw_c,
+        eta=np.where(q_h != 0.0, np.divide(-work, q_h), math.nan),
+        power=per_time(-work), kappa=per_time(q_c),
+        cop=np.where(work != 0.0, np.divide(q_c, work), math.nan),
+        regime=classify_regime(q_h, q_c, work),
+        eta0=1.0 - wc / wh, power0=per_time(-w0), kappa0=per_time(wc * (g_h - g_c)),
+        cop0=wc / (wh - wc), carnot_eta=1.0 - c.beta_h / c.beta_c,
+        carnot_cop=np.where(c.beta_h > 0.0, c.beta_h / (c.beta_c - c.beta_h), 0.0),
+        cyclicity_residual=abs(p_a0 - (1.0 - g_c) / 2.0), energy_residual=work + q_h + q_c)
+
+
+def _entries(r: CycleReport, fn, **changes) -> CycleReport:
+    """``r`` with ``fn`` applied to each metric and each ledger entry, and ``changes`` made."""
+    return replace(r, strokes={name: EnergyLedger._make(map(fn, lg))
+                               for name, lg in r.strokes.items()},
+                   **{f.name: fn(getattr(r, f.name)) for f in fields(r)
+                      if f.name not in ("config", "strokes")}, **changes)
+
+
+def _report(r: CycleReport) -> CycleReport:
+    """A one-point report of ``_cycle``, its entries turned into floats and its regime a str."""
+    return _entries(r, lambda x: str(x) if isinstance(x, str) else float(x))
 
 
 def weak_cycle(config: CycleConfig) -> CycleReport:
@@ -351,32 +359,35 @@ def weak_cycle(config: CycleConfig) -> CycleReport:
     config.validate(need_profiles=False)
     if config.tau <= 0.0:
         raise UndefinedPowerError("power is undefined for a cycle of zero total duration")
-    return _report(config, *_closed_form_cycle(config, 1.0, 1.0))
+    return _report(_closed_form_cycle(config, weak=True))
 
 
 def strong_cycle(config: CycleConfig) -> CycleReport:
     """Strongly coupled cycle evaluated from the closed-form stroke scalars: the
     one-point case of ``strong_cycle_sweep``, judged by the same rule table."""
     _require(config, need_profiles=True, ends=True)
-    return _report(config, *_closed_form_cycle(
-        config, config.profile_h.thermal_weight(config.tau_h),
-        config.profile_c.thermal_weight(config.tau_c)))
+    return _report(_closed_form_cycle(config))
 
 
-def _closed_form_cycle(c: CycleConfig, sw_h, sw_c) -> tuple[dict, dict]:
-    """The metrics and strokes of the cycle whose contacts have thermal weights sw_h and sw_c.
+def _closed_form_cycle(c: CycleConfig, weak: bool = False) -> CycleReport:
+    """The cycle (``_cycle``) whose contacts have the thermal weights sin^2 F of ``c``'s
+    profiles, or 1 for the ``weak`` baseline, under one ``np.errstate``: a config's g is
+    a numpy scalar, and a bath near g = 0 overflows its profile's terms.
 
     Every closed-form joint state has a purely imaginary exchange coherence
     rho[1,2], so the coupling costs 2 f Re rho[1,2] vanish exactly.
     """
-    wc, wh = c.omega_c, c.omega_h
-    g_c, g_h = c.g_c, c.g_h
-    p_c1 = (1.0 - g_h) / 2.0 + 0.5 * (1.0 - sw_h) * (g_h - g_c)
-    p_a0 = p_c1 * (1.0 - sw_c) + (1.0 - g_c) / 2.0 * sw_c
-    hot = (p_c1, wh * (g_c - g_h) * sw_h, wh * (2.0 * p_c1 - 1.0), (0.0, -0.0))
-    cold = (p_a0, wc * (g_h - g_c) * sw_h * sw_c, wc * (2.0 * p_a0 - 1.0), (0.0, -0.0))
-    w_cd = (wh - wc) * (g_h - (1.0 - sw_h) * (g_h - g_c))
-    return _cycle(c, hot, cold, w_cd, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c)
+    with np.errstate(all="ignore"):
+        sw_h, sw_c = (1.0, 1.0) if weak else (c.profile_h.thermal_weight(c.tau_h),
+                                              c.profile_c.thermal_weight(c.tau_c))
+        wc, wh = c.omega_c, c.omega_h
+        g_c, g_h = c.g_c, c.g_h
+        p_c1 = (1.0 - g_h) / 2.0 + 0.5 * (1.0 - sw_h) * (g_h - g_c)
+        p_a0 = p_c1 * (1.0 - sw_c) + (1.0 - g_c) / 2.0 * sw_c
+        hot = (p_c1, wh * (g_c - g_h) * sw_h, wh * (2.0 * p_c1 - 1.0), (0.0, -0.0))
+        cold = (p_a0, wc * (g_h - g_c) * sw_h * sw_c, wc * (2.0 * p_a0 - 1.0), (0.0, -0.0))
+        w_cd = (wh - wc) * (g_h - (1.0 - sw_h) * (g_h - g_c))
+        return _cycle(c, hot, cold, w_cd, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c)
 
 
 def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
@@ -388,7 +399,7 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
     closed form: each is integrated from the product of its system state with
     the Gibbs bath qubit, which has no exchange coherence and so a zero
     connection cost; its heat, end state and disconnection cost are read off
-    the joint state it ends in.
+    the joint state it ends in. One ``np.errstate`` covers the call, not each right-hand side.
     """
     _require(config, need_profiles=True, ends=True)
     wc, wh = config.omega_c, config.omega_h
@@ -412,21 +423,18 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
                 thermo.internal_energy(end, omega * linalg.SIGMA_Z, h_sb),
                 (0.0, thermo.connect_disconnect_work(h_sb, end, disconnect=True)))
 
-    hot = contact("hot", (1.0 - config.g_c) / 2.0, ph, wh, config.tau_h)
-    p_c1 = hot[0]
-    cold = contact("cold", p_c1, pc, wc, config.tau_c)
-    return _report(config, *_cycle(config, hot, cold, (wc - wh) * (2.0 * p_c1 - 1.0),
-                                   None, ph.thermal_weight(config.tau_h),
-                                   pc.thermal_weight(config.tau_c)))
+    with np.errstate(all="ignore"):
+        hot = contact("hot", (1.0 - config.g_c) / 2.0, ph, wh, config.tau_h)
+        p_c1 = hot[0]
+        cold = contact("cold", p_c1, pc, wc, config.tau_c)
+        return _report(_cycle(config, hot, cold, (wc - wh) * (2.0 * p_c1 - 1.0), None,
+                              ph.thermal_weight(config.tau_h), pc.thermal_weight(config.tau_c)))
 
 
 def max_energy_deviation(a: CycleReport, b: CycleReport) -> float:
     """Largest difference between matching work/heat ledger entries of two reports."""
-    dev = 0.0
-    for name in STROKE_ORDER:
-        dev = max(dev, abs(a.strokes[name].work - b.strokes[name].work),
-                  abs(a.strokes[name].heat - b.strokes[name].heat))
-    return dev
+    return max(0.0, *(abs(getattr(a.strokes[name], entry) - getattr(b.strokes[name], entry))
+                      for name in STROKE_ORDER for entry in ("work", "heat")))
 
 
 def stroke_entropy_production_trace(config: CycleConfig, stroke: str,
@@ -442,8 +450,8 @@ def stroke_entropy_production_trace(config: CycleConfig, stroke: str,
     tau = getattr(config, axis)
     if tau <= 0.0:
         raise ValueError(f"{stroke} contact has zero duration")
-    sweep = strong_cycle_sweep(config, axis, time_grid(tau, n_points))
-    return sweep.strokes[f"{stroke}_contact"].entropy_production
+    report = strong_cycle_sweep(config, axis, time_grid(tau, n_points)).report
+    return report.strokes[f"{stroke}_contact"].entropy_production
 
 
 SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "beta_c")
@@ -455,9 +463,7 @@ def _set_axis(config: CycleConfig, axis: str, value) -> CycleConfig:
     if axis not in SWEEP_AXES:
         raise ConfigError([f"unknown sweep axis '{axis}'"])
     if axis in ("g_h", "g_c"):
-        bath = axis[-1]
-        return replace(config, **{f"beta_{bath}":
-                                  np.arctanh(value) / getattr(config, f"omega_{bath}")})
+        axis, value = f"beta_{axis[-1]}", np.arctanh(value) / getattr(config, f"omega_{axis[-1]}")
     return replace(config, **{axis: value})
 
 
@@ -488,17 +494,16 @@ def apply_axis(config: CycleConfig, axis: str, value: float) -> CycleConfig:
 class CycleSweep:
     """Strong cycles over a grid of one parameter, one row per value of ``values``.
 
-    ``metrics`` maps each ``CycleReport`` metric (``work_total``, ``regime``...)
-    to its array over the rows, ``strokes`` each stroke to its ``EnergyLedger``
-    of arrays. A row that is not ``valid`` holds NaN there (regime "") and its
-    messages in ``errors``; valid rows hold "".
+    ``report`` is one ``CycleReport`` of columns over every row, whose ``config`` is
+    the swept config of all rows (with the base's profiles): ``report.law_audits()``
+    audits every row at once. A row that is not ``valid`` holds NaN in the report
+    (regime "") and its messages in ``errors``; valid rows hold "".
     """
 
     values: np.ndarray
     valid: np.ndarray
     errors: list
-    metrics: dict
-    strokes: dict
+    report: CycleReport
 
 
 def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
@@ -514,21 +519,18 @@ def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
     if values.ndim != 1:
         raise ConfigError([f"sweep values must form a 1-d grid, got shape {values.shape}"])
     with np.errstate(all="ignore"):
-        valid, faults = _faults(_set_axis(base, axis, values), values.size,
-                                g_baths="hc", ends=True, axis=axis, value=values)
+        swept = _set_axis(base, axis, values)
+        valid, faults = _faults(swept, values.size, g_baths="hc", ends=True, axis=axis,
+                                value=values)
         rows = _rebuild_profile(_set_axis(base, axis, values[valid]), axis)
-        metrics, strokes = _closed_form_cycle(rows, rows.profile_h.thermal_weight(rows.tau_h),
-                                              rows.profile_c.thermal_weight(rows.tau_c))
+        report = _closed_form_cycle(rows)
 
-    def scatter(column, fill=math.nan):  # a column over the valid rows, onto every row
-        out = np.full(values.shape, fill, dtype=np.asarray(column).dtype)
+    def scatter(column):  # a column over the valid rows, onto every row; NaN or "" elsewhere
+        column = np.asarray(column)
+        out = np.full(values.shape, "" if column.dtype.kind == "U" else math.nan, column.dtype)
         out[valid] = column
         return out
 
-    return CycleSweep(
-        values=values, valid=valid, errors=["; ".join(row) for row in faults],
-        metrics={name: scatter(column, "" if name == "regime" else math.nan)
-                 for name, column in metrics.items()},
-        strokes={name: EnergyLedger._make(map(scatter, ledger))
-                 for name, ledger in strokes.items()})
+    return CycleSweep(values=values, valid=valid, errors=["; ".join(row) for row in faults],
+                      report=_entries(report, scatter, config=swept))
 

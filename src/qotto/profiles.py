@@ -21,10 +21,10 @@ quadrature across the singularity. ``profile_from_spec`` is the one place
 that turns a profile name (``markovian``, ``nonmarkovian``, ``tabulated:PATH``)
 into a profile.
 
-With a Python float t and g the profiles never warn. On an array that
-reaches past about 1e153, intermediate terms overflow to inf, which the
-closed forms absorb; numpy warns about that unless the caller evaluates under
-``np.errstate(over="ignore")``, as every qotto grid does.
+Intermediate terms overflow to inf, which the closed forms absorb, at t past
+about 1e153 and where t / g passes the float range (a bath near g = 0). For a
+numpy t or g (a config's g comes from ``np.tanh``) numpy then warns, unless the
+caller evaluates under ``np.errstate``, as the cycle, sweep and scan routes do.
 """
 
 from __future__ import annotations

@@ -166,6 +166,15 @@ class TestHugeTimes:
         assert all(math.isfinite(cell) for row in rows for cell in row[1:])
         assert "thermal weights: hot 1," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed_form", "oracle"])
+    def test_hot_bath_near_g_zero(self, oracle, tmp_path, capsys):
+        # g_h = tanh(2e-320) is a numpy scalar, so -t / (2 g) overflows in numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["cycle", "--set", "beta_h=1e-320", *oracle,
+                        "--out", str(tmp_path / "cycle.csv")]) == 0
+        assert "thermal weights: hot 1," in capsys.readouterr().out
+
     def test_power_trace_to_the_float_maximum(self, tmp_path):
         out = tmp_path / "trace.csv"
         assert run(["dynamics", "--g", "1", "--t-max", "1e308", "--points", "3",
@@ -463,6 +472,23 @@ class TestExitCodes:
         monkeypatch.setattr(cycle_mod.CycleReport, "law_audits", broken_audits)
         assert run(["cycle", "--out", str(tmp_path / "c.csv")]) == 3
 
+    def test_sweep_audit_failure_names_the_row(self, tmp_path, monkeypatch, capsys):
+        # row 0 is rejected (tau_h < 0): it holds NaN, and no audit names it
+        argv = ["sweep", "--sweep", "tau_h:-1:2:4"]
+        assert run([*argv, "--out", str(tmp_path / "ok.csv")]) == 0
+        audits = cycle.CycleReport.law_audits
+
+        def row_two_fails(self):
+            out = audits(self)
+            value, ok = out["boundary_work"]
+            out["boundary_work"] = (value, ok & (np.arange(ok.size) != 2))
+            return out
+        monkeypatch.setattr(cycle.CycleReport, "law_audits", row_two_fails)
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "failed.csv")]) == 3
+        assert capsys.readouterr().err == "audit failure: row 2 (tau_h = 1): boundary_work\n"
+        assert (tmp_path / "failed.csv").read_bytes() == (tmp_path / "ok.csv").read_bytes()
+
     def test_runtime_failure_in_oracle_exits_two(self, tmp_path, capsys, monkeypatch):
         from qotto import cycle as cycle_mod
         from qotto.errors import IntegrationFailureError
@@ -638,7 +664,8 @@ _SET_FAULTS = [
     (["tau_h=1e308", "tau_c=1e308"],
      "the total duration tau_u1 + tau_h + tau_u2 + tau_c must be finite, got inf"),
     (["tau_h=nan"], "tau_h must be finite, got nan"),
-    (["beta_h=0"], "beta_h must be > 0 so that the hot profile has g > 0"),
+    (["beta_h=0"],
+     "beta_h * omega_h must be > 0 so that the hot profile has g > 0, got 0.0 * 2.0"),
     (["tau_h"], "--set expects key=value, got 'tau_h'"),
     (["tau_h", "volume=2", "omega_c=1"],
      "--set expects key=value, got 'tau_h'; unknown config key 'volume'"),

@@ -1,14 +1,14 @@
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qotto import linalg, thermo
-from qotto.cycle import (STROKE_ORDER, SWEEP_AXES, CycleConfig,
+from qotto.cycle import (STROKE_ORDER, SWEEP_AXES, CycleConfig, CycleReport,
                          apply_axis, build_config, strong_cycle_sweep,
                          classify_regime, max_energy_deviation,
                          stroke_entropy_production_trace, strong_cycle,
@@ -594,10 +594,11 @@ _REJECTED_ROWS = [
     ("tiny", "omega_c", [5e-324], ["bath parameter g must lie in (0, 1], got 0.0"]),
     ("markovian", "beta_h", [_NAN, -0.5, 0.0, 1.0, 2.0, _INF], [
         "beta_h must be finite, got nan", "beta_h must be >= 0, got -0.5",
-        "beta_h must be > 0 so that the hot profile has g > 0",
+        "beta_h * omega_h must be > 0 so that the hot profile has g > 0, got 0.0 * 2.0",
         "beta_c must exceed beta_h, got 1.0 <= 1.0", "beta_c must exceed beta_h, got 1.0 <= 2.0",
         "beta_h must be finite, got inf"]),
-    ("tiny", "beta_h", [5e-324], ["beta_h must be > 0 so that the hot profile has g > 0"]),
+    ("tiny", "beta_h", [5e-324],
+     ["beta_h * omega_h must be > 0 so that the hot profile has g > 0, got 5e-324 * 0.4"]),
     ("markovian", "beta_c", [_NAN, 0.2, 0.1, -1.0, _INF, 0.0], [
         "beta_c must be finite, got nan", "beta_c must exceed beta_h, got 0.2 <= 0.2",
         "beta_c must exceed beta_h, got 0.1 <= 0.2", "beta_c must exceed beta_h, got -1.0 <= 0.2",
@@ -622,21 +623,28 @@ class TestStrongCycleSweep:
     def test_rows_are_the_scalar_route_bit_for_bit(self, case):
         base, axis, values = case
         sweep = strong_cycle_sweep(base, axis, values)
+        rows, audits = sweep.report, sweep.report.law_audits()
         for k, value in enumerate(values):
             try:
                 report = strong_cycle(apply_axis(base, axis, value))
             except (ValueError, QottoError) as exc:
                 assert not sweep.valid[k] and sweep.errors[k] == str(exc)
-                assert sweep.metrics["regime"][k] == "" and math.isnan(sweep.metrics["eta0"][k])
+                assert rows.regime[k] == "" and math.isnan(rows.eta0[k])
                 continue
             assert sweep.valid[k] and sweep.errors[k] == ""
-            assert sweep.metrics["regime"][k] == report.regime
-            for name, column in sweep.metrics.items():
-                if name != "regime":
-                    assert _bits(column[k]) == _bits(getattr(report, name)), name
+            assert rows.regime[k] == report.regime
+            for field in fields(CycleReport):
+                if field.name not in ("config", "strokes", "regime"):
+                    assert _bits(getattr(rows, field.name)[k]) == \
+                        _bits(getattr(report, field.name)), field.name
             for name, ledger in report.strokes.items():
-                for field, column in zip(EnergyLedger._fields, sweep.strokes[name]):
+                for field, column in zip(EnergyLedger._fields, rows.strokes[name]):
                     assert _bits(column[k]) == _bits(getattr(ledger, field)), (name, field)
+            point = report.law_audits()
+            for name, (column, passed) in audits.items():  # an audit the row skips: NaN, pass
+                value, ok = point.get(name, (math.nan, True))
+                assert _bits(column[k]) == _bits(value) and passed[k] == ok, name
+            assert point.keys() <= audits.keys()
 
     @pytest.mark.parametrize("base, axis, values, cells", _REJECTED_ROWS,
                              ids=[f"{base}-{axis}" for base, axis, *_ in _REJECTED_ROWS])
@@ -654,7 +662,7 @@ class TestStrongCycleSweep:
 
     @pytest.mark.parametrize("base, axis, value, cell", [
         ((1, 2, 1, 0.2, 2, 2), "beta_h", 0.0,
-         "beta_h must be > 0 so that the hot profile has g > 0"),
+         "beta_h * omega_h must be > 0 so that the hot profile has g > 0, got 0.0 * 2"),
         ((1, 2, 1, 0.2, 2, 2), "beta_h", 1e-320, ""),
         ((1, 2, 1, 0.2, 2, 2), "omega_h", math.nan, "omega_h must be finite, got nan"),
         # omega_c is the int 1 here, and a message shows a field as it was given
