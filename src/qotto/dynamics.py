@@ -12,12 +12,14 @@ that audits the closed forms.
 The 4x4 routes here audit the scalar closed forms of the CLI and ``cycle``.
 The oracle integrates the complex joint state with DOP853 (8th-order
 Dormand-Prince) in one call, ``oracle_propagate``, at ``TOL.oracle_rtol`` and
-``TOL.oracle_atol``; each stroke may spend at most ``ORACLE_RHS_BUDGET``
-right-hand-side evaluations. The vectorized map, its derivative and its
-inverse are built by one helper from a 2x2 population block and a coherence
-factor, with the phase and the coupling each evaluated once per time; their
-witness audits the CLI's witness column, and ``joint_state_closed_form`` the
-cycle's scalar entropy productions.
+``TOL.oracle_atol``, from the product state at t = 0 in the variable
+u = sqrt(t / g), where the coupling's 1/sqrt(t) divergence becomes the smooth
+``profile.dphase_du``; it never reads the closed-form phase. Each stroke may
+spend at most ``ORACLE_RHS_BUDGET`` right-hand-side evaluations. The
+vectorized map, its derivative and its inverse are built by one helper from a
+2x2 population block and a coherence factor, with the phase and the coupling
+each evaluated once per time; their witness audits the CLI's witness column,
+and ``joint_state_closed_form`` the cycle's scalar entropy productions.
 
 scipy is imported only by the oracle: the module-level ``solve_ivp`` loads
 ``scipy.integrate`` on the first integration, so importing this module (and
@@ -39,7 +41,8 @@ from .errors import IntegrationFailureError, PositivityError, SingularGeneratorE
 from .profiles import CouplingProfile, RatePair
 from .tolerances import TOL
 
-#: honest integration starts here; f(t) ~ 1/(2 sqrt(g t)) diverges at t = 0
+#: not an integration bound: ``strong_cycle_via_oracle`` reads the disconnection cost of
+#: a contact shorter than this at this surrogate time, since f diverges at t = 0
 ORACLE_T_START = 1e-6
 #: right-hand-side evaluations one oracle stroke may use: about 2 s of integration
 ORACLE_RHS_BUDGET = 200_000
@@ -172,30 +175,23 @@ _COUPLING_COMMUTATOR = -1j * (np.kron(_COUPLING_PATTERN, np.eye(4))
 
 
 def _liouville_rhs(profile: CouplingProfile, omega: float, t_end: float):
-    """d vec(rho)/dt = free * vec(rho) + f(t) C vec(rho), counted against ORACLE_RHS_BUDGET."""
-    free = omega * _FREE_COMMUTATOR
+    """d vec(rho)/du = 2 g u omega free vec(rho) + dF/du C vec(rho) at t = g u^2, counted
+    against ORACLE_RHS_BUDGET."""
+    two_g = 2.0 * profile.g
     calls = 0
 
-    def rhs(t, y):
+    def rhs(u, y):
         nonlocal calls
         calls += 1
         if calls > ORACLE_RHS_BUDGET:
             raise IntegrationFailureError(
                 f"oracle stroke of duration {t_end!r} exceeds the budget of "
                 f"{ORACLE_RHS_BUDGET} right-hand-side evaluations")
-        return free * y + profile.f(t) * (_COUPLING_COMMUTATOR @ y)
+        # scaled after the product, so the entries the free part leaves at 0 stay 0
+        # even where omega * _FREE_COMMUTATOR would overflow
+        return ((_FREE_COMMUTATOR * y) * omega * (two_g * u)
+                + profile.dphase_du(u) * (_COUPLING_COMMUTATOR @ y))
     return rhs
-
-
-def _seed_state(sys: QubitState, profile: CouplingProfile, omega: float,
-                t_seed: float) -> np.ndarray:
-    # H(t) is different-time commuting, so the sliver [0, t_seed] around the
-    # f singularity is advanced exactly by its accumulated phase; honest
-    # stepping takes over at t_seed where f is finite.
-    rho0 = np.kron(sys.matrix(), bath_thermal_matrix(profile.g))
-    h_eff = omega * t_seed * _FREE_PART + profile.phase(t_seed) * _COUPLING_PATTERN
-    u = linalg.matrix_exp_skewhermitian(h_eff, 1.0)
-    return u @ rho0 @ u.conj().T
 
 
 def solve_ivp(*args, **kwargs):
@@ -209,25 +205,26 @@ def oracle_propagate(sys: QubitState, profile: CouplingProfile, omega: float,
                      t: float) -> np.ndarray:
     """Joint state at time t by adaptive 8th-order integration of drho/dt = -i [H(t), rho].
 
-    Deliberately avoids the commuting-Hamiltonian shortcut (except on the
-    initial sliver below ``ORACLE_T_START``) so that it is an independent
-    check of the closed-form state. The complex 16-vector vec(rho) is
-    integrated as it is by DOP853 at ``TOL.oracle_rtol`` and
-    ``TOL.oracle_atol``, with the right-hand side written as
-    ``free * vec(rho) + f(t) C vec(rho)``: the free part is an elementwise
-    scale, C the commutator with the exchange coupling as a 16x16
-    superoperator. A stroke that needs more than ``ORACLE_RHS_BUDGET``
-    evaluations (a non-Markovian one of a few hundred time units or more,
-    whose ripple keeps the steps short) raises IntegrationFailureError.
+    Deliberately avoids the commuting-Hamiltonian shortcut, and makes no
+    ``profile.phase`` call, so that it is an independent check of the
+    closed-form state. f(t) ~ 1/(2 sqrt(g t)) diverges at t = 0, so the
+    equation is integrated in u = sqrt(t / g), where it reads
+    ``d vec(rho)/du = 2 g u omega free * vec(rho) + dF/du C vec(rho)`` with the
+    smooth ``dF/du = profile.dphase_du(u)``: from u = 0 and the product state
+    to u = sqrt(t) / sqrt(g) (t / g overflows for a bath near g = 0). The free
+    part is an elementwise scale, C the commutator with the exchange coupling
+    as a 16x16 superoperator; the complex 16-vector vec(rho) is integrated as
+    it is by DOP853 at ``TOL.oracle_rtol`` and ``TOL.oracle_atol``. A stroke
+    that needs more than ``ORACLE_RHS_BUDGET`` evaluations (a non-Markovian
+    one past about 466 time units at g = 0.4 and omega = 2, whose ripple keeps
+    the steps short) raises IntegrationFailureError.
     """
     if t <= 0.0:
         raise ValueError(f"oracle time must be positive, got {t}")
-    t_seed = max(ORACLE_T_START, profile.t_min)
-    if t <= t_seed:
-        return _seed_state(sys, profile, omega, t)
-    sol = solve_ivp(_liouville_rhs(profile, omega, t), (t_seed, t),
-                    _seed_state(sys, profile, omega, t_seed).ravel(), method="DOP853",
-                    rtol=TOL.oracle_rtol, atol=TOL.oracle_atol)
+    rho0 = np.kron(sys.matrix(), bath_thermal_matrix(profile.g))
+    u_end = math.sqrt(t) / math.sqrt(profile.g)
+    sol = solve_ivp(_liouville_rhs(profile, omega, t), (0.0, u_end), rho0.ravel(),
+                    method="DOP853", rtol=TOL.oracle_rtol, atol=TOL.oracle_atol)
     if not sol.success:
         raise IntegrationFailureError(sol.message)
     return sol.y[:, -1].reshape(4, 4)

@@ -17,9 +17,10 @@ serves one instant and a whole grid alike. Three variants are provided:
 
 Both analytic profiles diverge like 1/(2 sqrt(g t)) as t -> 0+, which is
 integrable; F is therefore always evaluated from its closed form, never by
-quadrature across the singularity. ``profile_from_spec`` is the one place
-that turns a profile name (``markovian``, ``nonmarkovian``, ``tabulated:PATH``)
-into a profile.
+quadrature across the singularity; in u = sqrt(t / g), ``dphase_du`` gives the
+finite dF/du = 2 g u f(g u^2) that the ODE oracle integrates. ``profile_from_spec``
+is the one place that turns a profile name (``markovian``, ``nonmarkovian``,
+``tabulated:PATH``) into a profile.
 
 Intermediate terms overflow to inf, which the closed forms absorb, at t past
 about 1e153 and where t / g passes the float range (a bath near g = 0). For a
@@ -84,6 +85,10 @@ class CouplingProfile:
     def phase(self, t):
         raise NotImplementedError
 
+    def dphase_du(self, u):
+        """dF/du = 2 g u f(g u^2) in u = sqrt(t / g), finite at u = 0 where f diverges."""
+        raise NotImplementedError
+
     def thermal_weight(self, t):
         """sin^2 F(t): fraction of the bath population transferred by time t."""
         # squared as a product: a numpy scalar's ** 2 calls libm pow, an array's does not
@@ -120,6 +125,14 @@ def _constant_rate_phase(g, t):
     return np.pi / 2.0 - np.arcsin(np.exp(-t / (2.0 * g)))
 
 
+def _constant_rate_dphase_du(u):
+    """dF/du of the constant-rate profile at t = g u^2, free of g: u e^{-u^2/2} / sqrt(1 -
+    e^{-u^2}); u is floored at 1e-100, where the quotient is its limit 1 to the last bit."""
+    u = np.maximum(u, 1e-100)
+    x = u * u
+    return u * np.exp(-x / 2.0) / np.sqrt(-np.expm1(-x))
+
+
 @dataclass(frozen=True)
 class MarkovianProfile(CouplingProfile):
     """Coupling with constant rate gamma = 1/(2g); CP-divisible for all t."""
@@ -130,6 +143,9 @@ class MarkovianProfile(CouplingProfile):
     def phase(self, t):
         return _constant_rate_phase(self.g, t)
 
+    def dphase_du(self, u):
+        return _constant_rate_dphase_du(u)
+
     def _singular_rate(self):
         return 1.0 / (2.0 * self.g)
 
@@ -137,6 +153,12 @@ class MarkovianProfile(CouplingProfile):
 # 20t overflows past t ~ 9e306, where the oscillating terms are below 3e-306; their
 # argument is taken at t mod 2^1000, which is t itself below 1e301, so it stays finite
 _OSCILLATION_WRAP = 2.0**1000
+
+
+def _ripple(t):
+    """The two terms 10 sin(20t)/(10t+1)^2 and 20 cos(20t)/(10t+1) of d/dt sin(20t)/(10t+1)."""
+    v, x = 10.0 * t + 1.0, 20.0 * (t % _OSCILLATION_WRAP)
+    return 10.0 * np.sin(x) / (v * v), 20.0 * np.cos(x) / v
 
 
 @dataclass(frozen=True)
@@ -151,8 +173,13 @@ class NonMarkovianProfile(CouplingProfile):
     """
 
     def f(self, t):
-        base, u, x = _constant_rate_f(self.g, t), 10.0 * t + 1.0, 20.0 * (t % _OSCILLATION_WRAP)
-        return base - 10.0 * np.sin(x) / (u * u) + 20.0 * np.cos(x) / u
+        base = _constant_rate_f(self.g, t)  # first: it rejects t <= 0
+        down, up = _ripple(t)
+        return base - down + up
+
+    def dphase_du(self, u):
+        down, up = _ripple(self.g * u * u)
+        return _constant_rate_dphase_du(u) + 2.0 * self.g * u * (up - down)
 
     def phase(self, t):
         return (_constant_rate_phase(self.g, t)
@@ -203,6 +230,11 @@ class TabulatedProfile(CouplingProfile):
     def f(self, t):
         self._reject_outside((t < self.t_min) | (t > self.t_max), t)
         return np.interp(t, self.times, self.values)
+
+    def dphase_du(self, u):
+        # f = f(t0) on the head [0, t0], as in phase; the clip also keeps the rounding
+        # of g u^2 at the end of a stroke to the table's end inside the table
+        return 2.0 * self.g * u * self.f(np.clip(self.g * u * u, self.t_min, self.t_max))
 
     def phase(self, t):
         if (bad := _first(t < 0.0, t)) is not None:

@@ -175,6 +175,14 @@ class TestHugeTimes:
                         "--out", str(tmp_path / "cycle.csv")]) == 0
         assert "thermal weights: hot 1," in capsys.readouterr().out
 
+    def test_oracle_at_the_largest_level_spacing(self, tmp_path, capsys):
+        # omega_h * the free commutator overflows; the oracle's free term keeps its zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["cycle", "--oracle", "--set", "omega_h=1e308",
+                        "--out", str(tmp_path / "cycle.csv")]) == 0
+        assert "oracle_match: pass" in capsys.readouterr().out
+
     def test_power_trace_to_the_float_maximum(self, tmp_path):
         out = tmp_path / "trace.csv"
         assert run(["dynamics", "--g", "1", "--t-max", "1e308", "--points", "3",

@@ -430,9 +430,8 @@ class TestOraclePath:
     def test_matches_closed_form(self, kind, tmp_path):
         tau_h = 0.02 if kind == "tabulated_hot_shorter_than_t0" else 2.0
         if kind.startswith("tabulated"):
-            # t0 = 0.05 lies above the oracle's start time; a hot contact
-            # shorter than t0 is the seed state alone, its disconnection
-            # cost evaluates f at t0
+            # a hot contact shorter than t0 = 0.05 is integrated with the head
+            # convention f = f(t0); its disconnection cost evaluates f at t0
             grid = np.linspace(0.05, 6.0, 600)
             path = tmp_path / "table.txt"
             reference = MarkovianProfile(g=0.5)
@@ -445,6 +444,18 @@ class TestOraclePath:
         for name in ("connect_hot", "connect_cold"):
             work = oracle.strokes[name].work
             assert work == 0.0 and math.copysign(1.0, work) == 1.0
+        # each contact starts from the exact product state, so Re rho[1,2] and
+        # with it the disconnection cost -2 f Re rho[1,2] stay exactly 0
+        for name in ("disconnect_hot", "disconnect_cold"):
+            assert oracle.strokes[name].work == 0.0
+
+    def test_oracle_match_at_tiny_level_spacing(self):
+        # a disconnection cost of rounding size f * 1e-18 would fail the audit,
+        # which is relative to omega_h
+        config = build_config(omega_c=1e-14, omega_h=2e-14, beta_c=1e14, beta_h=2e13,
+                              tau_h=2.0, tau_c=2.0)
+        deviation = max_energy_deviation(strong_cycle(config), strong_cycle_via_oracle(config))
+        assert deviation / config.omega_h <= TOL.oracle_cycle_match
 
     def test_efficiency_via_oracle(self):
         config = build_config(**ENGINE, tau_h=1.3, tau_c=2.1)

@@ -1,12 +1,14 @@
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qotto import dynamics, linalg
-from qotto.cycle import build_config, strong_cycle_via_oracle
+from qotto.cycle import (build_config, max_energy_deviation, strong_cycle,
+                         strong_cycle_via_oracle)
 from qotto.dynamics import (QubitState, bath_thermal_matrix,
                             cp_divisibility_witness, joint_state,
                             joint_state_closed_form, master_equation_rhs,
@@ -38,6 +40,32 @@ class CountingProfile(MarkovianProfile):
     def phase(self, t):
         self.calls.append("phase")
         return super().phase(t)
+
+
+@st.composite
+def oracle_cases(draw, kind):
+    """A valid cycle config of profile ``kind``, markovian, nonmarkovian or tabulated (a
+    seeded table from t0 in [0.005, 0.5] to 4), with contacts shorter or longer than t0,
+    and a qubit state."""
+    omega_c = draw(st.floats(0.2, 3.0))
+    omega_h = omega_c * draw(st.floats(1.05, 4.0))
+    beta_h = draw(st.floats(0.01, 3.0)) / omega_h
+    beta_c = beta_h * draw(st.floats(1.01, 20.0))
+    t0 = draw(st.floats(0.005, 0.5))
+    tau_h, tau_c = (draw(st.one_of(st.floats(1e-6, t0), st.floats(t0, 3.0))) for _ in range(2))
+    config = build_config(omega_c, omega_h, beta_c, beta_h, tau_h, tau_c,
+                          kind_h="markovian" if kind == "tabulated" else kind)
+    if kind == "tabulated":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        times = np.linspace(t0, 4.0, 40)
+        values = (rng.uniform(0.2, 2.0) * np.exp(-times / rng.uniform(0.5, 4.0))
+                  * (1.0 + rng.uniform(0.0, 0.5) * np.sin(rng.uniform(1.0, 8.0) * times)) + 0.02)
+        config = replace(config,
+                         profile_h=TabulatedProfile(g=config.g_h, times=times, values=values),
+                         profile_c=TabulatedProfile(g=config.g_c, times=times, values=values))
+    p = draw(st.floats(0.05, 0.95))
+    radius = math.sqrt(p * (1.0 - p)) * draw(st.floats(0.0, 0.95))
+    return config, QubitState(p=p, x=radius * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
 
 
 def zero_coupling_profile(g=0.5):
@@ -177,16 +205,45 @@ class TestOracle:
         TabulatedProfile(g=0.6, times=np.linspace(0.05, 5.0, 40),
                          values=0.5 + 0.3 * np.sin(np.linspace(0.05, 5.0, 40)))])
     def test_rhs_is_the_commutator(self, profile):
+        # in u = sqrt(t / g): d rho/du = dt/du d rho/dt = 2 g u (-i [H(f(g u^2)), rho])
         rng = np.random.default_rng(5)
-        omega = 1.7
+        omega, g = 1.7, profile.g
         rhs = dynamics._liouville_rhs(profile, omega, 5.0)
         for t in (0.06, 0.4, 1.3, 2.7, 4.9):
+            u = math.sqrt(t / g)
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = a + a.conj().T
-            h = total_hamiltonian(omega, profile.f(t))
-            expected = -1j * (h @ rho - rho @ h)
-            got = rhs(t, rho.ravel()).reshape(4, 4)
+            h = total_hamiltonian(omega, profile.f(g * u * u))
+            expected = 2.0 * g * u * (-1j * (h @ rho - rho @ h))
+            got = rhs(u, rho.ravel()).reshape(4, 4)
             assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("profile", [
+        MarkovianProfile(g=0.8), NonMarkovianProfile(g=0.3),
+        TabulatedProfile(g=0.6, times=np.linspace(0.05, 5.0, 40),
+                         values=0.5 + 0.3 * np.sin(np.linspace(0.05, 5.0, 40)))])
+    def test_never_reads_the_closed_form_phase(self, profile, monkeypatch):
+        sys = QubitState(p=0.3, x=0.2 - 0.1j)
+        expected = joint_state(sys, profile, 1.3, 2.0)
+
+        def forbidden(self, t):
+            raise AssertionError("the oracle read the closed-form phase")
+        monkeypatch.setattr(type(profile), "phase", forbidden)
+        rho = oracle_propagate(sys, profile, 1.3, 2.0)
+        assert np.max(np.abs(rho - expected)) <= TOL.oracle_match
+
+    @pytest.mark.parametrize("kind", ["markovian", "nonmarkovian", "tabulated"])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_valid_configs_keep_oracle_match(self, kind, data):
+        config, sys = data.draw(oracle_cases(kind))
+        oracle = strong_cycle_via_oracle(config)
+        assert (max_energy_deviation(strong_cycle(config), oracle) / config.omega_h
+                <= TOL.oracle_cycle_match)
+        for profile, omega, tau in ((config.profile_h, config.omega_h, config.tau_h),
+                                    (config.profile_c, config.omega_c, config.tau_c)):
+            rho = oracle_propagate(sys, profile, omega, tau)
+            assert np.max(np.abs(rho - joint_state(sys, profile, omega, tau))) <= TOL.oracle_match
 
     @pytest.fixture
     def rhs_calls(self, monkeypatch):

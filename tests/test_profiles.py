@@ -54,6 +54,8 @@ class TestCouplingStrength:
             cls(g=0.5).f(0.0)
         with pytest.raises(ValueError):
             cls(g=0.5).f(-1.0)
+        with pytest.raises(ValueError):  # where 10 t + 1 = 0, before the ripple divides by it
+            cls(g=0.5).f(-0.1)
 
     def test_g_range_enforced(self):
         with pytest.raises(ValueError):
@@ -114,6 +116,40 @@ class TestAccumulatedPhase:
         for g in (0.2, 0.5, 0.8, 0.99):
             profile = NonMarkovianProfile(g=g)
             assert abs(profile.phase(50 * g) - math.pi / 2) <= 0.02
+
+
+_TABLE_TIMES = np.linspace(0.05, 5.0, 40)
+_U_PROFILES = [MarkovianProfile(g=0.8), MarkovianProfile(g=0.05), NonMarkovianProfile(g=0.3),
+               NonMarkovianProfile(g=0.99),
+               TabulatedProfile(g=0.6, times=_TABLE_TIMES, values=0.5 + 0.3 * np.sin(_TABLE_TIMES))]
+
+
+class TestPhaseRateInU:
+    """dF/du in u = sqrt(t / g), the oracle's coupling: 2 g u f(g u^2), finite at u = 0."""
+
+    @pytest.mark.parametrize("profile", _U_PROFILES)
+    def test_is_the_coupling_times_dt_du(self, profile):
+        g = profile.g
+        # inside the table (g u^2 rounds away from t by an ulp), or from 1e-12 to 50; f
+        # of the ripple passes through 0, so the relative bound has an equal absolute floor
+        for t in np.geomspace(max(1.001 * profile.t_min, 1e-12),
+                              min(0.999 * profile.t_max, 50.0), 300):
+            u = math.sqrt(t / g)
+            expected = 2.0 * g * u * profile.f(g * u * u)
+            assert profile.dphase_du(u) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("profile,limit", zip(_U_PROFILES, [1.0, 1.0, 1.0, 1.0, 0.0]))
+    def test_finite_limit_at_zero(self, profile, limit):
+        assert profile.dphase_du(0.0) == limit
+        for u in (1e-300, 1e-100, 1e-20):
+            assert profile.dphase_du(u) == pytest.approx(limit, abs=1e-15)
+
+    def test_tabulated_head_is_the_first_sample(self):
+        # f = f(t0) below the table, the convention of phase: F = f(t0) t = f(t0) g u^2
+        profile = _U_PROFILES[-1]
+        u = math.sqrt(0.5 * profile.t_min / profile.g)
+        assert profile.dphase_du(u) == pytest.approx(2.0 * profile.g * u * profile.values[0],
+                                                     rel=1e-15)
 
 
 class TestThermalizationWeight:
@@ -283,7 +319,7 @@ class TestArrays:
         ids=["markovian", "nonmarkovian", "tabulated"])
     def test_grid_is_the_float_route_bit_for_bit(self, profile):
         ts = np.linspace(max(profile.t_min, 0.02), 6.0, 257)
-        for method in ("f", "phase", "thermal_weight", "rate"):
+        for method in ("f", "phase", "thermal_weight", "rate", "dphase_du"):
             grid = getattr(profile, method)(ts)
             singles = [getattr(profile, method)(float(t)) for t in ts]
             assert [float(v).hex() for v in grid] == [float(v).hex() for v in singles], method
