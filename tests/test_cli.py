@@ -595,17 +595,15 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "qotto" in proc.stdout
 
-    def test_only_the_oracle_imports_scipy(self, tmp_path):
+    def test_no_command_imports_scipy(self, tmp_path):
         script = f"""
 import sys
 import qotto.cli
 out = {str(tmp_path / "x.csv")!r}
 for argv in (["dynamics"], ["witness", "--points", "20"],
-             ["sweep", "--sweep", "tau_c:0.1:2:5"], ["cycle"]):
+             ["sweep", "--sweep", "tau_c:0.1:2:5"], ["cycle"], ["cycle", "--oracle"]):
     assert qotto.cli.main(argv + ["--out", out]) == 0, argv
-assert "scipy" not in sys.modules
-assert qotto.cli.main(["cycle", "--oracle", "--out", out]) == 0
-assert "scipy.integrate" in sys.modules
+    assert "scipy" not in sys.modules, argv
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

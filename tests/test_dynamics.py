@@ -193,12 +193,12 @@ class TestOracle:
         seen = []
         solve_ivp = dynamics.solve_ivp
 
-        def recorder(fun, t_span, y0, **options):
-            seen.append((y0.dtype, options["method"], options["rtol"], options["atol"]))
-            return solve_ivp(fun, t_span, y0, **options)
+        def recorder(fun, u_end, y0, **options):
+            seen.append((y0.dtype, options["rtol"], options["atol"]))
+            return solve_ivp(fun, u_end, y0, **options)
         monkeypatch.setattr(dynamics, "solve_ivp", recorder)
         strong_cycle_via_oracle(build_config(1.0, 2.0, 1.0, 0.2, tau_h=0.5, tau_c=0.5))
-        assert seen == [(np.complex128, "DOP853", TOL.oracle_rtol, TOL.oracle_atol)] * 2
+        assert seen == [(np.complex128, TOL.oracle_rtol, TOL.oracle_atol)] * 2
 
     @pytest.mark.parametrize("profile", [
         MarkovianProfile(g=0.8), NonMarkovianProfile(g=0.3),
@@ -272,6 +272,94 @@ class TestOracle:
                                            f"{dynamics.ORACLE_RHS_BUDGET}")):
             oracle_propagate(QubitState(p=0.05), NonMarkovianProfile(g=0.4), 2.0, 1e200)
         assert len(rhs_calls) == dynamics.ORACLE_RHS_BUDGET + 1
+
+
+def _scipy_and_dop853(sys, profile, omega, t):
+    """(final state or raised error, RHS calls) of scipy's DOP853 and of ``dynamics.solve_ivp``
+    on one oracle stroke, each with a fresh budgeted right-hand side."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    rho0 = np.kron(sys.matrix(), bath_thermal_matrix(profile.g)).ravel()
+    u_end = math.sqrt(t) / math.sqrt(profile.g)
+    tolerances = {"rtol": TOL.oracle_rtol, "atol": TOL.oracle_atol}
+
+    def by_scipy(fun):
+        sol = scipy_solve_ivp(fun, (0.0, u_end), rho0, method="DOP853", **tolerances)
+        assert sol.success, sol.message
+        return sol.y[:, -1]
+
+    results = []
+    for solve in (by_scipy, lambda fun: dynamics.solve_ivp(fun, u_end, rho0, **tolerances)):
+        rhs, calls = dynamics._liouville_rhs(profile, omega, t), []
+
+        def counted(u, y, rhs=rhs, calls=calls):
+            calls.append(u)
+            return rhs(u, y)
+        try:
+            results.append((solve(counted), len(calls)))
+        except IntegrationFailureError as exc:
+            results.append((str(exc), len(calls)))
+    return results
+
+
+class TestDop853:
+    """``qotto.dop853`` takes scipy's DOP853 steps bit for bit, so the oracle's
+    numbers do not depend on which of the two integrates them."""
+
+    def test_tableau_is_scipys_bit_for_bit(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        from qotto import dop853
+        for ours, theirs in ((dop853.C, ref.C[:12]), (dop853.A, ref.A[:12, :12]),
+                             (dop853.B, ref.B), (dop853.E3, ref.E3), (dop853.E5, ref.E5)):
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+    @pytest.mark.parametrize("kind", ["markovian", "nonmarkovian", "tabulated"])
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_steps_like_scipy(self, kind, data):
+        config, sys = data.draw(oracle_cases(kind))
+        if not data.draw(st.booleans(), label="coherent"):
+            sys = QubitState(p=sys.p)
+        for profile, omega, tau in ((config.profile_h, config.omega_h, config.tau_h),
+                                    (config.profile_c, config.omega_c, config.tau_c)):
+            (theirs, their_calls), (ours, our_calls) = _scipy_and_dop853(sys, profile, omega, tau)
+            assert np.array_equal(ours, theirs)
+            assert our_calls == their_calls
+
+    @pytest.mark.parametrize("sys, profile, omega, t", [
+        (QubitState(p=0.3), MarkovianProfile(g=0.5), 1e308, 1.0),
+        (QubitState(p=0.05), NonMarkovianProfile(g=0.4), 2.0, 100.0)])
+    def test_named_strokes_step_like_scipy(self, sys, profile, omega, t):
+        (theirs, their_calls), (ours, our_calls) = _scipy_and_dop853(sys, profile, omega, t)
+        assert np.array_equal(ours, theirs)
+        assert our_calls == their_calls
+
+    def test_budget_stops_both_at_the_same_call(self):
+        (theirs, their_calls), (ours, our_calls) = _scipy_and_dop853(
+            QubitState(p=0.05), NonMarkovianProfile(g=0.4), 2.0, 1e200)
+        assert ours == theirs
+        assert our_calls == their_calls == dynamics.ORACLE_RHS_BUDGET + 1
+
+    def test_fails_like_scipy_below_the_smallest_step(self):
+        # y' = y^2 blows up at u = 1, where the step falls below ten float spacings
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        from qotto import dop853
+        def squaring(calls):
+            def rhs(u, y):
+                calls.append(u)
+                return y * y
+            return rhs
+        their_calls, our_calls = [], []
+        sol = scipy_solve_ivp(squaring(their_calls), (0.0, 2.0), np.ones(2, dtype=complex),
+                              method="DOP853", rtol=TOL.oracle_rtol, atol=TOL.oracle_atol)
+        assert sol.status == -1
+        with pytest.raises(IntegrationFailureError, match=f"^{re.escape(sol.message)}$"):
+            dop853.integrate(squaring(our_calls), 2.0, np.ones(2, dtype=complex),
+                             TOL.oracle_rtol, TOL.oracle_atol)
+        assert our_calls == their_calls
 
 
 class TestMasterEquation:
