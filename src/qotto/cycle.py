@@ -24,7 +24,8 @@ rebuilds the profile it changes (``_rebuild_profile``) and one rule table
 (``_rules``) judges a point or a grid.
 
 Partial thermalization in the final stroke breaks exact cyclicity; the
-report carries the residual instead of silently assuming closure.
+report carries the residual instead of silently assuming closure. A cycle of
+zero total duration has NaN power and cooling rate on every route.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .dynamics import (ORACLE_T_START, QubitState, bath_thermal_matrix,
                        coupling_hamiltonian, oracle_propagate)
 # perfbench/tracing.py wraps this here, tests/test_perfbench_bindings.py pins it; ROADMAP item 3 removes it
 from .dynamics import joint_state_closed_form
-from .errors import ConfigError, IntegrationFailureError, UndefinedPowerError
-from .profiles import CouplingProfile, profile_from_spec, time_grid
+from .errors import ConfigError, IntegrationFailureError
+from .profiles import CouplingProfile, profile_from_spec
 from .thermo import EnergyLedger
 from .tolerances import TOL
 
@@ -355,10 +356,9 @@ def _report(r: CycleReport) -> CycleReport:
 
 
 def weak_cycle(config: CycleConfig) -> CycleReport:
-    """Baseline cycle: weak coupling, both contacts fully thermalizing (sin^2 F = 1)."""
+    """Baseline cycle: weak coupling, both contacts fully thermalizing (sin^2 F = 1); power
+    and cooling rate are NaN for a cycle of zero total duration."""
     config.validate(need_profiles=False)
-    if config.tau <= 0.0:
-        raise UndefinedPowerError("power is undefined for a cycle of zero total duration")
     return _report(_closed_form_cycle(config, weak=True))
 
 
@@ -435,23 +435,6 @@ def max_energy_deviation(a: CycleReport, b: CycleReport) -> float:
     """Largest difference between matching work/heat ledger entries of two reports."""
     return max(0.0, *(abs(getattr(a.strokes[name], entry) - getattr(b.strokes[name], entry))
                       for name in STROKE_ORDER for entry in ("work", "heat")))
-
-
-def stroke_entropy_production_trace(config: CycleConfig, stroke: str,
-                                    n_points: int = 100) -> np.ndarray:
-    """Entropy production along one thermal contact at times tau k / n_points, k = 1..n:
-    the contact's Delta S_S - beta Q in the cycle whose contact stops there, one
-    ``strong_cycle_sweep`` over the contact's duration (the 4x4 relative entropy of
-    ``joint_state_closed_form`` is its audit route)."""
-    config.validate(need_profiles=True)
-    if stroke not in ("hot", "cold"):
-        raise ValueError(f"stroke must be 'hot' or 'cold', got {stroke!r}")
-    axis = f"tau_{stroke[0]}"
-    tau = getattr(config, axis)
-    if tau <= 0.0:
-        raise ValueError(f"{stroke} contact has zero duration")
-    report = strong_cycle_sweep(config, axis, time_grid(tau, n_points)).report
-    return report.strokes[f"{stroke}_contact"].entropy_production
 
 
 SWEEP_AXES = ("tau_h", "tau_c", "g_h", "g_c", "omega_h", "omega_c", "beta_h", "beta_c")

@@ -28,6 +28,3 @@ class ConfigError(QottoError, ValueError):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
-
-class UndefinedPowerError(QottoError, ValueError):
-    """Power and cooling rate are undefined for a cycle of zero duration."""

@@ -60,8 +60,3 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(a)
     return evals, evecs
 
-
-def matrix_exp_skewhermitian(h: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i * s * h) for Hermitian h, via eigendecomposition."""
-    evals, evecs = hermitian_eig(h)
-    return (evecs * np.exp(-1j * s * evals)) @ evecs.conj().T

@@ -296,30 +296,3 @@ def rate_pair(profile: CouplingProfile, t: float) -> RatePair:
     return RatePair(gamma_minus=(1.0 + profile.g) * gamma,
                     gamma_plus=(1.0 - profile.g) * gamma)
 
-
-_MARKOVIAN_GRID = 2000
-
-
-def is_markovian(profile: CouplingProfile, horizon: float) -> tuple[bool, float | None]:
-    """CP-divisibility check: gamma(t) >= rate floor on a uniform sampling grid.
-
-    Returns (flag, first_violation_time); the time is None when the flag is
-    True. The 2000-point grid resolves the 20 rad/time oscillation of the
-    non-Markovian correction on horizons of a few time units. A horizon past
-    the end of a table is a ValueError unless a violation comes first.
-    """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    lo = profile.t_min
-    ts = lo + time_grid(horizon - lo, _MARKOVIAN_GRID)
-    n = np.count_nonzero(ts <= profile.t_max)  # the grid points the profile covers
-    with np.errstate(over="ignore"):
-        gamma = profile.rate(ts[:n])
-    stop = (gamma < TOL.rate_floor) | np.isnan(gamma)
-    if stop.any():
-        t = float(ts[stop.argmax()])
-        rate_gamma(profile, t)  # SingularGeneratorError if the first stop is a singular point
-        return False, t
-    if n < ts.size:
-        profile.phase(ts[n])  # raises the domain error at the first time past the table
-    return True, None

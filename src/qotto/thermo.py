@@ -13,10 +13,9 @@ Definitions (units with hbar = k_B = 1, natural logarithms):
   013013 (2010)); the closed-form cycle uses that scalar form, and the
   relative entropy here is its audit route.
 
-Endpoint expressions are exact for these definitions; Simpson integration of
-the instantaneous flow is provided as an independent audit route. That route,
-``heat_flow_integral``, is the only one here that needs scipy, and it imports
-``scipy.integrate.simpson`` when called.
+Endpoint expressions are exact for these definitions, so no quadrature of the
+instantaneous flow is needed; the tests keep a Simpson integral of that flow as
+an independent audit of the heat.
 """
 
 from __future__ import annotations
@@ -83,21 +82,6 @@ def heat_into_system(states: np.ndarray, h_b: np.ndarray) -> float:
     return -(bath_energy(states[-1], h_b) - bath_energy(states[0], h_b))
 
 
-def work_on_total(times: np.ndarray, states: np.ndarray, h_tot_of_t) -> float:
-    """Accumulated change of Tr[H_tot(t) rho(t)] between the trajectory endpoints.
-
-    The endpoint difference carries both the driving term Tr[dH rho] and the
-    state term Tr[H drho] exactly.
-    """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=complex)
-    if times.size != states.shape[0] or times.size < 2:
-        raise ValueError("times and states must align, with >= 2 samples")
-    e0 = np.trace(h_tot_of_t(times[0]) @ states[0]).real
-    e1 = np.trace(h_tot_of_t(times[-1]) @ states[-1]).real
-    return float(e1 - e0)
-
-
 def connect_disconnect_work(h_sb_at_boundary: np.ndarray, rho: np.ndarray,
                             disconnect: bool = False) -> float:
     """Instantaneous coupling cost +/- Tr[H_SB rho] when the interaction switches."""
@@ -107,40 +91,6 @@ def connect_disconnect_work(h_sb_at_boundary: np.ndarray, rho: np.ndarray,
         raise ValueError("expected 4x4 operators")
     value = float(np.trace(h_sb @ rho).real)
     return -value if disconnect else value
-
-
-def heat_flow_integral(times: np.ndarray, states: np.ndarray, h_s: np.ndarray,
-                       h_b: np.ndarray, h_sb_of_t) -> float:
-    """Simpson integral of Tr[(H_S + H_SB(t)) drho/dt]; audit route for heat.
-
-    drho/dt is evaluated exactly from the commutator with the full
-    Hamiltonian, so the only error is the quadrature's.
-    """
-    from scipy.integrate import simpson
-
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=complex)
-    if times.size != states.shape[0] or times.size < 3:
-        raise ValueError("need >= 3 aligned samples for Simpson integration")
-    h_s4 = np.kron(np.asarray(h_s, dtype=complex), linalg.IDENTITY_2)
-    h_b4 = np.kron(linalg.IDENTITY_2, np.asarray(h_b, dtype=complex))
-    flow = np.empty(times.size)
-    for k, (t, rho) in enumerate(zip(times, states)):
-        h_sb = np.asarray(h_sb_of_t(t), dtype=complex)
-        h_full = h_s4 + h_b4 + h_sb
-        drho = -1j * (h_full @ rho - rho @ h_full)
-        flow[k] = np.trace((h_s4 + h_sb) @ drho).real
-    return float(simpson(flow, x=times))
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S = -Tr[rho ln rho]; eigenvalues below the entropy floor count as exact zeros."""
-    evals, _ = linalg.hermitian_eig(np.asarray(rho, dtype=complex))
-    s = 0.0
-    for lam in evals:
-        if lam > TOL.entropy_eig_floor:
-            s -= lam * math.log(lam)
-    return s
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:

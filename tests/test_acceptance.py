@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from qotto.cycle import (apply_axis, build_config, stroke_entropy_production_trace,
-                         strong_cycle, strong_cycle_via_oracle, weak_cycle)
+from qotto.cycle import (apply_axis, build_config, strong_cycle, strong_cycle_sweep,
+                         strong_cycle_via_oracle, weak_cycle)
 from qotto import thermo
 from qotto.dynamics import (ORACLE_T_START, QubitState, bath_thermal_matrix,
                             coupling_hamiltonian, cp_divisibility_witness, joint_state,
@@ -22,7 +22,7 @@ from qotto.dynamics import (ORACLE_T_START, QubitState, bath_thermal_matrix,
                             oracle_propagate, reduced_state, vectorized_reps)
 from qotto.errors import SingularGeneratorError
 from qotto.profiles import (MarkovianProfile, NonMarkovianProfile, rate_gamma,
-                            rate_pair)
+                            rate_pair, time_grid)
 from qotto.tolerances import TOL
 
 ENGINE = dict(omega_c=1.0, omega_h=2.0, beta_c=1.0, beta_h=0.2)
@@ -251,12 +251,14 @@ def test_criterion_10_thermodynamic_laws():
                               max(abs(lg.first_law_residual)
                                   for lg in report.strokes.values()))
     assert worst_first_law <= TOL.first_law
-    # entropy production along both contact strokes, engine and refrigerator
+    # entropy production along both contact strokes, engine and refrigerator: each
+    # contact's sigma in the cycles whose contact stops at tau k / 100, k = 1..100
     worst_sigma = math.inf
     for params in (ENGINE, FRIDGE):
         config = build_config(**params, tau_h=2.0, tau_c=2.0)
         for stroke in ("hot", "cold"):
-            trace = stroke_entropy_production_trace(config, stroke, n_points=100)
+            sweep = strong_cycle_sweep(config, f"tau_{stroke[0]}", time_grid(2.0, 100))
+            trace = sweep.report.strokes[f"{stroke}_contact"].entropy_production
             worst_sigma = min(worst_sigma, float(trace.min()))
     assert worst_sigma >= TOL.entropy_production_floor
     # weak-cycle Clausius inequality and Carnot bounds on a random grid

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -22,7 +23,8 @@ from qotto.dynamics import cp_divisibility_witness, vectorized_reps
 from qotto.errors import ConfigError, SingularGeneratorError
 from qotto.profiles import MarkovianProfile, NonMarkovianProfile
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def read_csv(path):
@@ -596,17 +598,44 @@ class TestExitCodes:
         assert "qotto" in proc.stdout
 
     def test_no_command_imports_scipy(self, tmp_path):
+        # a None entry in sys.modules makes any import of scipy raise ImportError at once
         script = f"""
 import sys
+sys.modules["scipy"] = None
+from qotto import *
 import qotto.cli
 out = {str(tmp_path / "x.csv")!r}
 for argv in (["dynamics"], ["witness", "--points", "20"],
-             ["sweep", "--sweep", "tau_c:0.1:2:5"], ["cycle"], ["cycle", "--oracle"]):
+             ["sweep", "--sweep", "tau_c:0.1:2:5"], ["cycle"], ["cycle", "--oracle"],
+             ["cycle", "--oracle", "--set", "profile_h=nonmarkovian"]):
     assert qotto.cli.main(argv + ["--out", out]) == 0, argv
-    assert "scipy" not in sys.modules, argv
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_no_runtime_module_imports_scipy():
+    for path in sorted((ROOT / "src" / "qotto").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), \
+                f"{path.name}:{node.lineno} imports scipy"
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    # read without tomllib, which Python 3.10 lacks: the [project] table's
+    # dependencies array, up to its closing bracket
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    array = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project, re.MULTILINE | re.DOTALL)
+    names = [re.match(r"[A-Za-z0-9_.-]+", entry).group(0)
+             for entry in re.findall(r'"([^"]*)"', array.group(1))]
+    assert names == ["numpy"]
 
 
 def _scaled_values(k: int, tau_h: float, tau_c: float) -> dict:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qotto.linalg import (IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                          hermitian_eig, matrix_exp_skewhermitian,
-                          partial_trace_bath, partial_trace_system)
+                          hermitian_eig, partial_trace_bath, partial_trace_system)
 from qotto.tolerances import TOL
 
 
@@ -99,21 +98,3 @@ class TestHermitianEig:
         for _ in range(10):
             evals, _ = hermitian_eig(random_density(rng, 4))
             assert abs(evals.sum() - 1.0) <= 1e-10
-
-
-class TestMatrixExp:
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(29)
-        h = random_hermitian(rng, 4)
-        assert np.allclose(matrix_exp_skewhermitian(h, 0.0), IDENTITY_4, atol=1e-14)
-
-    def test_pi_rotation_about_z(self):
-        u = matrix_exp_skewhermitian(SIGMA_Z, np.pi)
-        assert np.max(np.abs(u + IDENTITY_2)) <= 1e-12
-
-    def test_unitarity_random(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            h = random_hermitian(rng, 4)
-            u = matrix_exp_skewhermitian(h, rng.uniform(-3.0, 3.0))
-            assert np.max(np.abs(u @ u.conj().T - IDENTITY_4)) <= TOL.unitarity

@@ -6,8 +6,9 @@ from scipy.integrate import quad
 
 from qotto.errors import ConfigError, SingularGeneratorError
 from qotto.profiles import (MarkovianProfile, NonMarkovianProfile,
-                            TabulatedProfile, is_markovian, load_tabulated,
-                            profile_from_spec, rate_gamma, rate_pair)
+                            TabulatedProfile, load_tabulated, profile_from_spec,
+                            rate_gamma, rate_pair, time_grid)
+from qotto.tolerances import TOL
 
 T_HALF = 0.8 * math.log(2.0)  # semigroup profile with g = 0.8 reaches sin^2 F = 1/2 here
 
@@ -210,33 +211,20 @@ class TestRates:
 
 
 class TestIsMarkovian:
+    """CP-divisible means gamma(t) >= TOL.rate_floor, the witness command's
+    ``markovian_flag``, here on 2000 uniform times up to a horizon."""
+
     def test_semigroup_is_markovian(self):
         for g in (0.3, 0.8):
-            flag, first = is_markovian(MarkovianProfile(g=g), 20 * g)
-            assert flag and first is None
+            assert np.all(MarkovianProfile(g=g).rate(time_grid(20 * g, 2000)) >= TOL.rate_floor)
 
     def test_corrected_profile_is_not(self):
-        flag, first = is_markovian(NonMarkovianProfile(g=0.8), 2.0)
-        assert not flag
-        assert 0.0 < first <= 2.0
+        assert np.any(NonMarkovianProfile(g=0.8).rate(time_grid(2.0, 2000)) < TOL.rate_floor)
 
     def test_tabulated_constant_below_half_pi(self):
         profile = TabulatedProfile(g=0.5, times=np.array([0.01, 1.0]),
                                    values=np.array([1.0, 1.0]))
-        flag, first = is_markovian(profile, 1.0)
-        assert flag and first is None
-
-    def test_table_end_counts_only_after_the_first_violation(self):
-        t = np.linspace(0.01, 3.0, 300)
-        falls = TabulatedProfile(g=0.5, times=t, values=np.where(t < 1.0, 0.5, -0.5))
-        flag, first = is_markovian(falls, 5.0)
-        assert not flag and 0.99 < first < 1.0
-        with pytest.raises(ValueError, match=r"^t = 3\.001505 outside tabulated domain"):
-            is_markovian(TabulatedProfile(g=0.5, times=t, values=np.full(300, 0.5)), 5.0)
-
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            is_markovian(MarkovianProfile(g=0.5), 0.0)
+        assert np.all(profile.rate(0.01 + time_grid(0.99, 2000)) >= TOL.rate_floor)
 
 
 class TestTabulated:
@@ -348,12 +336,3 @@ class TestArrays:
         gamma = profile.rate(np.array([0.5, math.pi / 4, 0.9]))
         assert math.isfinite(gamma[0]) and math.isnan(gamma[1]) and math.isfinite(gamma[2])
         assert MarkovianProfile(g=0.5).rate(np.array([20.0, 40.0])).tolist() == [1.0, 1.0]
-
-    def test_is_markovian_raises_at_a_singular_first_stop(self):
-        # F = c t reaches pi/2 at the 1000th point of the 2000-point grid on (0.01, 1],
-        # before tan F could turn negative
-        t_singular = 0.01 + 0.99 * 1000 / 2000
-        c = math.pi / 2 / t_singular
-        profile = TabulatedProfile(g=0.5, times=np.array([0.01, 1.0]), values=np.array([c, c]))
-        with pytest.raises(SingularGeneratorError, match=f"not invertible at t = {t_singular}:"):
-            is_markovian(profile, 1.0)
