@@ -8,7 +8,8 @@ Commands
 * ``sweep``    -- grid over one cycle parameter, one CSV row per point.
 
 ``dynamics``, ``witness`` and ``sweep`` evaluate the closed forms once, on
-their whole grid of times or parameter values.
+their whole grid of times or parameter values. Every command hands the CSV
+writer its table as named columns, one kind of cell per column.
 
 Output is CSV with '#'-prefixed metadata lines, decimal serialization at 17
 significant digits. Exit codes: 0 success, 1 usage/config error, 2
@@ -24,7 +25,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .cycle import (NUMERIC_FIELDS, SWEEP_AXES, CycleConfig, CycleReport, build_
                     strong_cycle_via_oracle, STROKE_ORDER)
 from .errors import ConfigError, QottoError
 from .profiles import profile_from_spec, time_grid
+from .thermo import EnergyLedger
 # perfbench/tracing.py wraps these here, tests/test_perfbench_bindings.py pins them; ROADMAP item 3 removes them
 from .cycle import apply_axis
 from .dynamics import cp_divisibility_witness, vectorized_reps
@@ -71,13 +72,6 @@ def _fmt(value) -> str:
     return _quote(value) if isinstance(value, str) else str(value)
 
 
-def _row_format(row) -> tuple[str, list[int]]:
-    """printf format of a CSV row ('%.17g' per float cell, '%s' per other cell) and the
-    positions of its string cells."""
-    fmt = ",".join("%.17g" if isinstance(cell, float) else "%s" for cell in row) + "\n"
-    return fmt, [k for k, cell in enumerate(row) if isinstance(cell, str)]
-
-
 def _resolve_out(path: str | None):
     if path is None:
         return None
@@ -88,24 +82,25 @@ def _resolve_out(path: str | None):
     return path
 
 
-def _write_csv(path: str | None, header: list[str], rows: Iterable[Sequence],
-               metadata: dict) -> None:
+def _write_csv(path: str | None, table: dict, metadata: dict) -> None:
+    """Write the metadata as '#' lines, then ``table``: header name -> column (an
+    ndarray or a sequence), equal-length columns of one kind of cell each."""
+    columns, formats = [], []
+    for column in table.values():
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        kind = next(iter(cells), None)
+        columns.append(list(map(_quote, cells)) if isinstance(kind, str) else cells)
+        formats.append("%.17g" if isinstance(kind, float) else "%s")
+    row_format = ",".join(formats) + "\n"
+
     def emit(stream):
         stream.write(f"# qotto {__version__}\n")
         for key, value in metadata.items():
-            stream.write(f"# {key} = {_fmt(value)}\n")
-        stream.write(",".join(header) + "\n")
-        formats = {}  # cell types of a row -> its format; a table has one or two
-        for row in rows:
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = _row_format(row)
-            fmt, strings = formats[kinds]
-            if strings:
-                row = list(row)
-                for k in strings:
-                    row[k] = _quote(row[k])
-            stream.write(fmt % tuple(row))
+            # a line break in a value would end its '#' line early
+            text = _fmt(value).replace("\r", "\\r").replace("\n", "\\n")
+            stream.write(f"# {key} = {text}\n")
+        stream.write(",".join(table) + "\n")
+        stream.writelines(row_format % row for row in zip(*columns))
 
     if path is None:
         emit(sys.stdout)
@@ -174,22 +169,16 @@ def _check_scan(args) -> None:
         raise ConfigError([f"--points must be >= 2, got {args.points}"])
 
 
-def _columns_csv(columns: list) -> Iterable[tuple]:
-    """CSV rows from equal-length columns: ndarrays, lists or ranges."""
-    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-
-
 def run_power_trace(args) -> int:
     """Thermalization-weight trace sin^2 F(t) for both analytic profiles."""
     _check_scan(args)
     ts = np.linspace(0.0, args.t_max, args.points)
     with np.errstate(over="ignore"):  # intermediate terms overflow near the float maximum
-        columns = [ts] + [profile_from_spec(name, args.g).thermal_weight(ts)
-                          for name in _ANALYTIC_PROFILES]
+        table = {"t": ts, **{f"p_ratio_{name}": profile_from_spec(name, args.g).thermal_weight(ts)
+                             for name in _ANALYTIC_PROFILES}}
     meta = {"command": "dynamics", "g": args.g, "t_max": args.t_max,
             "points": args.points, "seed": args.seed}
-    _write_csv(_resolve_out(args.out), ["t", "p_ratio_markovian", "p_ratio_nonmarkovian"],
-               _columns_csv(columns), meta)
+    _write_csv(_resolve_out(args.out), table, meta)
     return EXIT_OK
 
 
@@ -197,8 +186,8 @@ def run_witness_scan(args) -> int:
     """Rate and CP-divisibility witness scan over (0, t_max] for both profiles."""
     _check_scan(args)
     omega = 1.0  # the projected witness spectrum does not depend on omega
-    header, ts = ["t"], time_grid(args.t_max, args.points)
-    columns = [ts]
+    ts = time_grid(args.t_max, args.points)
+    table = {"t": ts}
     for name in _ANALYTIC_PROFILES:
         profile = profile_from_spec(name, args.g)
         with np.errstate(over="ignore"):  # intermediate terms overflow near the float maximum
@@ -207,33 +196,31 @@ def run_witness_scan(args) -> int:
         # (PRL 105, 050403); cp_divisibility_witness is its 4x4 audit route
         wmin = np.minimum(np.minimum(0.0, (1.0 + profile.g) * gamma), (1.0 - profile.g) * gamma)
         flag = np.where(np.isnan(gamma), -1, gamma >= TOL.rate_floor)  # -1: map singular
-        header += [f"f_{name}", f"F_{name}", f"gamma_{name}",
-                   f"markovian_flag_{name}", f"witness_min_eig_{name}"]
-        columns += [f, phase, gamma, flag, wmin]
+        table.update({f"f_{name}": f, f"F_{name}": phase, f"gamma_{name}": gamma,
+                      f"markovian_flag_{name}": flag, f"witness_min_eig_{name}": wmin})
     meta = {"command": "witness", "g": args.g, "t_max": args.t_max,
             "points": args.points, "omega": omega, "seed": args.seed}
-    _write_csv(_resolve_out(args.out), header, _columns_csv(columns), meta)
+    _write_csv(_resolve_out(args.out), table, meta)
     return EXIT_OK
 
 
-def _stroke_rows(report: CycleReport, oracle: CycleReport | None) -> tuple[list, list]:
-    header = ["stroke", "work", "heat", "energy_initial", "energy_final", "entropy_production"]
+def _ledgers(report: CycleReport) -> list[EnergyLedger]:
+    """The report's stroke ledgers in STROKE_ORDER, then the whole cycle's."""
+    strokes = [report.strokes[name] for name in STROKE_ORDER]
+    return strokes + [EnergyLedger(
+        report.work_total, report.heat_hot + report.heat_cold,
+        strokes[0].internal_energy_initial, strokes[-1].internal_energy_final,
+        sum(stroke.entropy_production for stroke in strokes))]
+
+
+def _stroke_table(report: CycleReport, oracle: CycleReport | None) -> dict:
+    # an EnergyLedger's entries are in column order
+    table = {"stroke": (*STROKE_ORDER, "total"), **dict(zip(
+        ("work", "heat", "energy_initial", "energy_final", "entropy_production"),
+        zip(*_ledgers(report))))}
     if oracle is not None:
-        header += ["work_oracle", "heat_oracle"]
-    rows = []
-    for name in STROKE_ORDER:
-        row = [name, *report.strokes[name]]  # an EnergyLedger's entries are in header order
-        if oracle is not None:
-            row += [oracle.strokes[name].work, oracle.strokes[name].heat]
-        rows.append(row)
-    first, last = report.strokes[STROKE_ORDER[0]], report.strokes[STROKE_ORDER[-1]]
-    total = ["total", report.work_total, report.heat_hot + report.heat_cold,
-             first.internal_energy_initial, last.internal_energy_final,
-             sum(report.strokes[n].entropy_production for n in STROKE_ORDER)]
-    if oracle is not None:
-        total += [oracle.work_total, oracle.heat_hot + oracle.heat_cold]
-    rows.append(total)
-    return header, rows
+        table["work_oracle"], table["heat_oracle"], *_ = zip(*_ledgers(oracle))
+    return table
 
 
 def _summary(report: CycleReport, audits: dict) -> str:
@@ -266,7 +253,6 @@ def run_cycle(args) -> int:
     oracle = strong_cycle_via_oracle(config) if args.oracle else None
     audits = report.law_audits()
 
-    header, rows = _stroke_rows(report, oracle)
     meta = {"command": "cycle", "seed": args.seed, **config_meta}
     for profile, name in ((config.profile_h, "profile_h"), (config.profile_c, "profile_c")):
         if getattr(profile, "head_phase_approximated", False):
@@ -276,7 +262,7 @@ def run_cycle(args) -> int:
         relative_dev = oracle_dev / config.omega_h  # in units of omega_h, as the law audits
         audits["oracle_match"] = (relative_dev, relative_dev <= TOL.oracle_cycle_match)
     out = _resolve_out(args.out)
-    _write_csv(out, header, rows, meta)
+    _write_csv(out, _stroke_table(report, oracle), meta)
     print(_summary(report, audits), file=sys.stderr if out is None else sys.stdout)
 
     failed = [name for name, (_, ok) in audits.items() if not ok]
@@ -322,13 +308,12 @@ def run_sweep(args) -> int:
     report = sweep.report
     cells = {**vars(report), "work": report.work_total,
              **{f"w_{name}": work for name, work in report.boundary_works().items()}}
-    header = ["index", axis, "valid", "regime", *_SWEEP_METRICS, "error"]
-    columns = [range(count), sweep.values, sweep.valid.astype(int),
-               np.where(sweep.valid, report.regime, "skipped"),
-               *(cells[key] for key in _SWEEP_METRICS), sweep.errors]
+    table = {"index": range(count), axis: sweep.values, "valid": sweep.valid.astype(int),
+             "regime": np.where(sweep.valid, report.regime, "skipped"),
+             **{key: cells[key] for key in _SWEEP_METRICS}, "error": sweep.errors}
     meta = {"command": "sweep", "axis": axis, "lo": lo, "hi": hi, "count": count,
             "seed": args.seed, **config_meta}
-    _write_csv(_resolve_out(args.out), header, _columns_csv(columns), meta)
+    _write_csv(_resolve_out(args.out), table, meta)
 
     # the valid rows' law audits, as cycle's; a rejected row is no cycle to audit
     failed = {name: sweep.valid & ~ok for name, (_, ok) in report.law_audits().items()}

@@ -304,6 +304,21 @@ class TestCycleCommand:
         ref_heat = column(rh, rrows, "heat")[column(rh, rrows, "stroke").index("cold_contact")]
         assert heat == pytest.approx(ref_heat, abs=5e-3)
 
+    @pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_line_break_in_a_profile_path_stays_on_its_metadata_line(self, line_break, tmp_path):
+        reference = MarkovianProfile(g=math.tanh(0.4))  # the default hot bath's g
+        table = tmp_path / f"we{line_break}ird.tab"
+        table.write_text("\n".join(f"{t:.17g} {reference.f(t):.17g}"
+                                   for t in np.linspace(0.01, 3.0, 300)))
+        out = tmp_path / "cycle.csv"
+        assert run(["cycle", "--set", f"profile_h=tabulated:{table}", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        escaped = line_break.replace("\r", "\\r").replace("\n", "\\n")
+        assert f'# config.profile_h = "tabulated:{tmp_path}/we{escaped}ird.tab"\n' in text
+        meta, header, rows = read_csv(out)
+        assert header[0] == "stroke" and len(rows) == len(cycle.STROKE_ORDER) + 1
+        assert meta["profile_h.head_phase_approximated"] == "True"
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"volume": 2.0}))
@@ -407,9 +422,23 @@ class TestOneArrayEvaluation:
 
 _CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, math.nan, math.inf, -math.inf]))
-_CSV_CELLS = st.one_of(_CSV_FLOATS, _CSV_FLOATS.map(np.float64), st.integers(-10**20, 10**20),
-                       st.booleans(), st.text(max_size=8),
-                       st.sampled_from(["a,b", 'say "hi"', "x\ny", "\r"]))
+# one strategy per kind of column the writer takes
+_CSV_KINDS = (_CSV_FLOATS, _CSV_FLOATS.map(np.float64), st.integers(-10**20, 10**20),
+              st.booleans(), st.one_of(st.text(max_size=8),
+                                       st.sampled_from(["a,b", 'say "hi"', "x\ny", "\r", ""])))
+
+
+@st.composite
+def _csv_tables(draw) -> dict:
+    """1-8 equal-length columns of one kind each; np.float64 cells in a list or an ndarray."""
+    length = draw(st.integers(0, 4))
+    table = {}
+    for k, kind in enumerate(draw(st.lists(st.sampled_from(_CSV_KINDS), min_size=1, max_size=8))):
+        cells = draw(st.lists(kind, min_size=length, max_size=length))
+        if cells and type(cells[0]) is np.float64 and draw(st.booleans()):
+            cells = np.array(cells)
+        table[f"h{k}"] = cells
+    return table
 
 
 def _reference_cell(value) -> str:
@@ -423,27 +452,94 @@ def _reference_cell(value) -> str:
 
 class TestCsvCells:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=8), min_size=1, max_size=4))
-    def test_cells_match_the_reference_formatting(self, rows):
+    @given(_csv_tables())
+    def test_cells_match_the_reference_formatting(self, table):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli._write_csv(None, ["h"], rows, {"k": 1.5})
-        expected = f"# qotto {__version__}\n# k = 1.5\nh\n" + "".join(
-            ",".join(_reference_cell(cell) for cell in row) + "\n" for row in rows)
+            cli._write_csv(None, table, {"k": 1.5})
+        expected = f"# qotto {__version__}\n# k = 1.5\n{','.join(table)}\n" + "".join(
+            ",".join(map(_reference_cell, row)) + "\n" for row in zip(*table.values()))
         assert out.getvalue() == expected
 
 
+def _dynamics_columns() -> dict:
+    ts = np.linspace(0.0, 3.0, 50)
+    return {"t": ts, "p_ratio_markovian": MarkovianProfile(g=0.8).thermal_weight(ts),
+            "p_ratio_nonmarkovian": NonMarkovianProfile(g=0.8).thermal_weight(ts)}
+
+
+def _witness_columns() -> dict:
+    ts = profiles.time_grid(3.0, 50)
+    columns = {"t": ts}
+    for name, profile in (("markovian", MarkovianProfile(g=0.8)),
+                          ("nonmarkovian", NonMarkovianProfile(g=0.8))):
+        columns |= {f"f_{name}": profile.f(ts), f"F_{name}": profile.phase(ts),
+                    f"gamma_{name}": profile.rate(ts)}
+    return columns
+
+
+def _ledger_columns(report, names) -> dict:
+    """Each stroke's ledger entries named ``names``, in stroke order, then the cycle's."""
+    strokes = [report.strokes[name] for name in cycle.STROKE_ORDER]
+    total = (report.work_total, report.heat_hot + report.heat_cold,
+             strokes[0].internal_energy_initial, strokes[-1].internal_energy_final,
+             sum(stroke.entropy_production for stroke in strokes))
+    return {name: [*(stroke[k] for stroke in strokes), total[k]] for k, name in enumerate(names)}
+
+
+def _cycle_columns(oracle: bool) -> dict:
+    config, _ = load_cycle_config(None, {"tau_h": 1.0, "profile_c": "nonmarkovian"})
+    columns = {"stroke": [*cycle.STROKE_ORDER, "total"], **_ledger_columns(
+        strong_cycle(config), ("work", "heat", "energy_initial", "energy_final",
+                               "entropy_production"))}
+    if oracle:
+        columns |= _ledger_columns(cycle.strong_cycle_via_oracle(config),
+                                   ("work_oracle", "heat_oracle"))
+    return columns
+
+
+def _sweep_columns() -> dict:
+    base, _ = load_cycle_config(None, {})
+    sweep = cycle.strong_cycle_sweep(base, "tau_h", np.linspace(-1.0, 2.0, 7))
+    report = sweep.report
+
+    def metric(name):
+        if name == "work":
+            return report.work_total
+        if name.startswith("w_"):  # a coupling switch's work, from its ledger
+            return report.strokes[name[2:]].work
+        return getattr(report, name)
+    return {"index": range(7), "tau_h": sweep.values, "valid": sweep.valid,
+            "regime": np.where(sweep.valid, report.regime, "skipped"),
+            **{name: metric(name) for name in cli._SWEEP_METRICS}, "error": sweep.errors}
+
+
 class TestCsvContract:
-    def test_round_trip_exact(self, tmp_path):
-        out = tmp_path / "trace.csv"
-        assert run(["dynamics", "--g", "0.8", "--t-max", "3", "--points", "50",
-                    "--out", str(out)]) == 0
+    @pytest.mark.parametrize("argv, expected", [
+        (["dynamics", "--g", "0.8", "--t-max", "3", "--points", "50"], _dynamics_columns),
+        (["witness", "--g", "0.8", "--t-max", "3", "--points", "50"], _witness_columns),
+        (["cycle", "--set", "tau_h=1", "--set", "profile_c=nonmarkovian"],
+         lambda: _cycle_columns(oracle=False)),
+        (["cycle", "--set", "tau_h=1", "--set", "profile_c=nonmarkovian", "--oracle"],
+         lambda: _cycle_columns(oracle=True)),
+        (["sweep", "--sweep", "tau_h:-1:2:7"], _sweep_columns),
+    ], ids=["dynamics", "witness", "cycle", "cycle-oracle", "sweep"])
+    def test_round_trip_exact(self, argv, expected, tmp_path):
+        """Every cell reads back as the library's value, bit for bit (NaN as NaN)."""
+        out = tmp_path / "table.csv"
+        assert run([*argv, "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
-        from qotto.profiles import MarkovianProfile, NonMarkovianProfile
-        m, nm = MarkovianProfile(g=0.8), NonMarkovianProfile(g=0.8)
-        for t, pm, pnm in rows:
-            assert pm == m.thermal_weight(t)
-            assert pnm == nm.thermal_weight(t)
+        expected = expected()
+        if argv[0] != "witness":  # its flag and witness columns are checked elsewhere
+            assert header == list(expected)
+        for name, values in expected.items():
+            cells = column(header, rows, name)
+            if isinstance(values[0], str):
+                assert cells == list(values), name
+                continue
+            got, want = np.array(cells, dtype=float), np.array(values, dtype=float)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), name
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes(), name
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -537,14 +633,20 @@ class TestExitCodes:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
-    def test_csv_to_stdout(self, capsys):
-        assert run(["dynamics", "--points", "3"]) == 0
-        lines = [line for line in capsys.readouterr().out.splitlines()
-                 if not line.startswith("#")]
-        header, *rows = csv.reader(lines)
-        assert header == ["t", "p_ratio_markovian", "p_ratio_nonmarkovian"]
-        assert [len(row) for row in rows] == [3, 3, 3]
-        assert float(rows[-1][0]) == 5.0
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--points", "3"], ["witness", "--points", "20"],
+        ["cycle", "--oracle"], ["sweep", "--sweep", "beta_c:-1:1:3"]],
+        ids=lambda argv: argv[0])
+    def test_csv_to_stdout(self, argv, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        to_file = capsys.readouterr()
+        assert run(argv) == 0
+        to_stdout = capsys.readouterr()
+        assert to_stdout.out.encode("utf-8") == out.read_bytes()
+        # cycle's summary goes to stdout beside a file, to stderr beside stdout's CSV
+        assert (to_file.err, to_stdout.err) == ("", to_file.out)
+        assert (to_file.out != "") == (argv[0] == "cycle")
 
     def test_non_numeric_sweep_bounds(self, capsys):
         assert run(["sweep", "--sweep", "tau_h:a:b:3"]) == 1
