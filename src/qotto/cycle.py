@@ -198,8 +198,9 @@ def build_config(omega_c: float, omega_h: float, beta_c: float, beta_h: float,
     _require(config, *(f"{name} must be a string, got {kind!r}"
                        for name, kind in (("profile_h", kind_h), ("profile_c", kind_c))
                        if not isinstance(kind, str)), g_baths="h")
-    return replace(config, profile_h=profile_from_spec(kind_h, config.g_h),
-                   profile_c=profile_from_spec(kind_c, config.g_c))
+    hot = profile_from_spec(kind_h, config.g_h)  # a spec both baths share is read once
+    return replace(config, profile_h=hot, profile_c=replace(hot, g=config.g_c) if kind_c == kind_h
+                   else profile_from_spec(kind_c, config.g_c))
 
 
 @dataclass(frozen=True)

@@ -95,25 +95,21 @@ class CouplingProfile:
         return np.square(np.sin(self.phase(t)))
 
     def rate(self, t):
-        """Decay rate gamma(t) = f(t) tan F(t), NaN where it is undefined.
-
-        Where |cos F| < TOL.cos_phase_singular the map is not invertible and
-        tan F cannot be evaluated; a profile with a closed-form rate there (the
-        Markovian one) returns it, the others NaN.
-        """
+        """Decay rate gamma(t) = f(t) tan F(t), NaN where |cos F| < TOL.cos_phase_singular:
+        there the map is not invertible and tan F cannot be evaluated."""
         ph = self.phase(t)
         singular = np.abs(np.cos(ph)) < TOL.cos_phase_singular
-        return np.where(singular, self._singular_rate(), self.f(t) * np.tan(ph))[()]
+        return np.where(singular, math.nan, self.f(t) * np.tan(ph))[()]
 
-    def _singular_rate(self):
-        """gamma where the map is not invertible: NaN unless a closed form exists."""
-        return math.nan
+
+def _reject_nonpositive(t) -> None:
+    if (bad := _first(t <= 0.0, t)) is not None:
+        raise ValueError(f"coupling strength requires t > 0, got t = {bad}")
 
 
 def _constant_rate_f(g, t):
     """Coupling f(t) of the constant-rate profile with bath parameter g."""
-    if (bad := _first(t <= 0.0, t)) is not None:
-        raise ValueError(f"coupling strength requires t > 0, got t = {bad}")
+    _reject_nonpositive(t)
     # -expm1 keeps 1 - e^{-t/g} accurate for t near 0
     return np.exp(-t / (2.0 * g)) / (2.0 * g * np.sqrt(-np.expm1(-t / g)))
 
@@ -146,8 +142,10 @@ class MarkovianProfile(CouplingProfile):
     def dphase_du(self, u):
         return _constant_rate_dphase_du(u)
 
-    def _singular_rate(self):
-        return 1.0 / (2.0 * self.g)
+    def rate(self, t):
+        """gamma = 1/(2g) exactly at every t > 0, also where cos F underflows; NaN at a NaN t."""
+        _reject_nonpositive(t)
+        return np.where(np.isnan(t), math.nan, 1.0 / (2.0 * self.g))[()]
 
 
 # 20t overflows past t ~ 9e306, where the oscillating terms are below 3e-306; their
@@ -278,11 +276,8 @@ def profile_from_spec(spec: str, g: float) -> CouplingProfile:
 
 
 def rate_gamma(profile: CouplingProfile, t: float) -> float:
-    """Decay rate gamma(t) = f(t) tan F(t) at one instant: ``profile.rate`` on a float.
-
-    Where the map is not invertible (|cos F| = 0) and the profile has no
-    closed-form rate there, ``SingularGeneratorError`` is raised.
-    """
+    """Decay rate gamma(t) at one instant: ``profile.rate`` on a float; where that is NaN, the
+    map is not invertible and ``SingularGeneratorError`` is raised."""
     gamma = profile.rate(t)
     if math.isnan(gamma):
         raise SingularGeneratorError(f"dynamical map not invertible at t = {t}: "
@@ -291,7 +286,7 @@ def rate_gamma(profile: CouplingProfile, t: float) -> float:
 
 
 def rate_pair(profile: CouplingProfile, t: float) -> RatePair:
-    """Rates gamma_- = (1+g) gamma(t) and gamma_+ = (1-g) gamma(t)."""
+    """GKLS rates gamma_-/+ = (1 +/- g) gamma(t); constant, (1 +/- g) / (2g), if Markovian."""
     gamma = rate_gamma(profile, t)
     return RatePair(gamma_minus=(1.0 + profile.g) * gamma,
                     gamma_plus=(1.0 - profile.g) * gamma)

@@ -21,7 +21,6 @@ class Tolerances:
     cos_phase_singular: float = 1e-8    # |cos F| below this: map not invertible
     rate_floor: float = -1e-10          # gamma(t) >= rate_floor means CP-divisible
     witness_hermitian: float = 1e-9     # |M - M^dag| of the projected witness, relative to max|M|
-    semigroup_rate: float = 1e-9        # |gamma - 1/(2g)| for the semigroup profile
     thermal_weight_identity: float = 1e-9  # |sin^2 F - (1 - e^{-t/g})|, semigroup
     entropy_eig_floor: float = 1e-14    # eigenvalues below this are exact zeros
     support_weight: float = 1e-12       # weight on a null space that makes S(rho||sigma) infinite

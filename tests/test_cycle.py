@@ -169,6 +169,32 @@ class TestConfigValidation:
             assert a.g == b.g
             assert np.array_equal(a.times, b.times) and np.array_equal(a.values, b.values)
 
+    def test_a_table_both_baths_share_is_read_once(self, tmp_path, monkeypatch):
+        from qotto import profiles
+        original, reads = profiles.load_tabulated, []
+
+        def counting(path, g):
+            reads.append(path)
+            return original(path, g)
+        monkeypatch.setattr(profiles, "load_tabulated", counting)
+        spec = tabulated_spec(tmp_path)
+        config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0, kind_h=spec)
+        assert len(reads) == 1
+        hot, cold = config.profile_h, config.profile_c
+        assert (hot.g, cold.g) == (config.g_h, config.g_c)
+        assert cold.source == hot.source and np.array_equal(cold.times, hot.times)
+        assert np.array_equal(cold.phase(hot.times), original(reads[0], cold.g).phase(hot.times))
+        build_config(**ENGINE, tau_h=1.0, tau_c=1.0, kind_h=spec, kind_c="markovian")
+        assert len(reads) == 2
+
+    @pytest.mark.parametrize("kind", ["markovian", "tabulated"])
+    def test_shared_spec_keeps_the_cold_constructors_error(self, kind, tmp_path):
+        spec = tabulated_spec(tmp_path) if kind == "tabulated" else kind
+        # beta_c * omega_c underflows to 0, so g_c = 0 while every field rule holds
+        with pytest.raises(ValueError, match=r"^bath parameter g must lie in \(0, 1\], got 0\.0$"):
+            build_config(omega_c=1e-10, omega_h=2.0, beta_c=1e-315, beta_h=1e-320,
+                         tau_h=1.0, tau_c=1.0, kind_h=spec)
+
 
 class TestStrongCycle:
     def test_long_strokes_reduce_to_weak_cycle(self):

@@ -266,7 +266,9 @@ class TestOracle:
         assert np.max(np.abs(rho - joint_state(sys, profile, 2.0, 100.0))) <= 1e-6
         assert len(rhs_calls) <= dynamics.ORACLE_RHS_BUDGET
 
-    def test_rhs_budget_stops_unbounded_stroke(self, rhs_calls):
+    def test_rhs_budget_stops_unbounded_stroke(self, rhs_calls, monkeypatch):
+        # the right-hand side reads the budget at each call; a small one stops in ms
+        monkeypatch.setattr(dynamics, "ORACLE_RHS_BUDGET", 2000)
         with pytest.raises(IntegrationFailureError,
                            match=re.escape(f"1e+200 exceeds the budget of "
                                            f"{dynamics.ORACLE_RHS_BUDGET}")):
@@ -336,7 +338,8 @@ class TestDop853:
         assert np.array_equal(ours, theirs)
         assert our_calls == their_calls
 
-    def test_budget_stops_both_at_the_same_call(self):
+    def test_budget_stops_both_at_the_same_call(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "ORACLE_RHS_BUDGET", 2000)
         (theirs, their_calls), (ours, our_calls) = _scipy_and_dop853(
             QubitState(p=0.05), NonMarkovianProfile(g=0.4), 2.0, 1e200)
         assert ours == theirs

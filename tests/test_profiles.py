@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from qotto.errors import ConfigError, SingularGeneratorError
-from qotto.profiles import (MarkovianProfile, NonMarkovianProfile,
+from qotto.profiles import (MarkovianProfile, NonMarkovianProfile, RatePair,
                             TabulatedProfile, load_tabulated, profile_from_spec,
                             rate_gamma, rate_pair, time_grid)
 from qotto.tolerances import TOL
@@ -177,12 +177,42 @@ class TestRates:
     def test_markovian_rate_constant(self, g):
         profile = MarkovianProfile(g=g)
         for t in np.linspace(1e-3, 20 * g, 500):
-            assert abs(rate_gamma(profile, t) - 1 / (2 * g)) <= 1e-9
+            assert rate_gamma(profile, t) == 1 / (2 * g)
+
+    @pytest.mark.parametrize("g", [1e-300, 0.1, 0.5, 0.8, 0.99, 1.0])
+    def test_markovian_rate_is_the_semigroup_constant_bit_for_bit(self, g):
+        # also where cos F = e^{-t/2g} underflows and f tan F is no longer defined
+        profile = MarkovianProfile(g=g)
+        for t in (5e-324, 1e-300, 30 * g, 1e308, math.inf):
+            assert profile.rate(t) == 1 / (2 * g)
+        ts = np.array([5e-324, 1e-300, 30 * g, 1e308, math.inf])
+        assert profile.rate(ts).tolist() == [1 / (2 * g)] * 5
+
+    def test_markovian_rate_nan_and_columns(self):
+        assert math.isnan(MarkovianProfile(g=0.5).rate(math.nan))
+        gamma = MarkovianProfile(g=0.5).rate(np.array([1.0, math.nan, 1e308]))
+        assert gamma[0] == gamma[2] == 1.0 and math.isnan(gamma[1])
+        baths = MarkovianProfile(g=np.array([0.5, 0.25, 0.8, 1.0]))
+        gamma = baths.rate(np.array([1.0, math.nan, 60.0, 1e-300]))
+        assert gamma[[0, 2, 3]].tolist() == [1.0, 0.625, 0.5] and math.isnan(gamma[1])
+        assert baths.rate(40.0).tolist() == [1.0, 2.0, 0.625, 0.5]
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.array([1.0, -1.0])])
+    def test_markovian_rate_rejects_like_f(self, t):
+        bad = t if isinstance(t, float) else -1.0
+        with pytest.raises(ValueError,
+                           match=rf"^coupling strength requires t > 0, got t = {bad}$"):
+            MarkovianProfile(g=0.5).rate(t)
 
     def test_rate_pair_values(self):
-        pair = rate_pair(MarkovianProfile(g=0.5), 0.4)
-        assert pair.gamma_minus == pytest.approx(1.5, abs=1e-11)
-        assert pair.gamma_plus == pytest.approx(0.5, abs=1e-11)
+        assert rate_pair(MarkovianProfile(g=0.5), 0.4) == RatePair(gamma_minus=1.5,
+                                                                   gamma_plus=0.5)
+
+    def test_markovian_rate_pair_is_constant(self):
+        # the GKLS coefficients (1 +/- g) / (2g) of the semigroup, at any t
+        profile = MarkovianProfile(g=0.8)
+        pairs = {rate_pair(profile, t) for t in (5e-324, 1e-3, 0.7, 24.0, 60.0, 1e308)}
+        assert pairs == {RatePair(gamma_minus=(1 + 0.8) * 0.625, gamma_plus=(1 - 0.8) * 0.625)}
 
     def test_rate_pair_invariant(self):
         profile = NonMarkovianProfile(g=0.8)
