@@ -2,12 +2,13 @@
 
 The total Hamiltonian omega (sigma_z x 1 + 1 x sigma_z) + f(t)/2 (sigma_x x
 sigma_x + sigma_y x sigma_y) commutes with itself at different times, so the
-joint state of a product input (arbitrary system qubit, diagonal bath qubit
-with parameter g) is known in closed form for any accumulated phase
-F(t). This module provides that closed form, the reduced qubit state, the
-time-local master equation, the vectorized map/generator pair with its
-reshuffled form and CP-divisibility witness, and an independent ODE oracle
-that audits the closed forms.
+joint state of a product input rho0 (arbitrary system qubit, diagonal bath
+qubit with parameter g) is U rho0 U^dag with
+U = exp(-i omega t (sigma_z x 1 + 1 x sigma_z)) exp(-i F(t) (|01><10| + |10><01|))
+for any accumulated phase F(t). This module provides that closed form, the
+reduced qubit state, the time-local master equation, the vectorized
+map/generator pair with its reshuffled form and CP-divisibility witness, and
+an independent ODE oracle that audits the closed forms.
 
 The 4x4 routes here audit the scalar closed forms of the CLI and ``cycle``.
 The oracle integrates the complex joint state with DOP853 (8th-order
@@ -98,31 +99,19 @@ def coupling_hamiltonian(f_value: float) -> np.ndarray:
 
 def joint_state_closed_form(sys: QubitState, g: float, omega: float,
                             phase: float, t: float) -> np.ndarray:
-    """Closed-form joint state at accumulated phase F = phase and time t.
+    """Closed-form joint state U rho0 U^dag at accumulated phase F = phase and time t.
 
-    The input is the product of ``sys`` with the thermal bath qubit of
-    parameter g; the output is the exactly evolved 4x4 density operator.
+    rho0 is the product of ``sys`` with the thermal bath qubit of parameter g, and
+    U = exp(-i omega t (sigma_z x 1 + 1 x sigma_z)) exp(-i F P), P = |01><10| + |10><01|,
+    is diag(e^{-2i omega t}, 1, 1, e^{2i omega t}) (diag(1, cos F, cos F, 1) - i sin F P).
     """
     if not 0.0 <= g <= 1.0:
         raise ValueError(f"bath parameter g must lie in [0, 1], got {g}")
-    p, x = sys.p, complex(sys.x)
-    lo = (1.0 - g) / 2.0
-    hi = (1.0 + g) / 2.0
     cf = math.cos(phase)
-    sf = math.sin(phase)
-    s2f = math.sin(2.0 * phase)
-    c2f = math.cos(2.0 * phase)
     ph = np.exp(-2j * omega * t)
-    mid = 0.25j * (g + 2.0 * p - 1.0) * s2f
-
-    rho = np.array([
-        [lo * p, 1j * lo * x * ph * sf, lo * x * ph * cf, 0.0],
-        [-1j * lo * np.conj(x * ph) * sf,
-         lo * sf**2 + 0.5 * p * (g + c2f), mid, hi * x * ph * cf],
-        [lo * np.conj(x * ph) * cf, -mid,
-         lo * cf**2 + 0.5 * p * (g - c2f), -1j * hi * x * ph * sf],
-        [0.0, hi * np.conj(x * ph) * cf, 1j * hi * np.conj(x * ph) * sf, hi * (1.0 - p)],
-    ], dtype=complex)
+    u = (np.diag([ph, 1.0, 1.0, np.conj(ph)])
+         @ (np.diag([1.0, cf, cf, 1.0]) - 1j * math.sin(phase) * _COUPLING_PATTERN))
+    rho = u @ np.kron(sys.matrix(), bath_thermal_matrix(g)) @ u.conj().T
 
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < TOL.psd_floor or abs(np.trace(rho).real - 1.0) > TOL.trace_one:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -985,3 +986,86 @@ class TestReadmeExamples:
             exec(compile(block, "README.md", "exec"), {})
         regime, valid = (line.split()[0] for line in capsys.readouterr().out.splitlines())
         assert (regime, valid) == ("engine", "True")
+
+
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+#: a token made only of these is shell syntax that a fresh process would not interpret
+_SHELL_PUNCTUATION = set("();<>|&")
+
+
+def _console_script(text: str) -> tuple[int, list[str]]:
+    """(index in ``text.splitlines()`` of the first line, the lines) of the ``run: |`` block
+    of the workflow step named "Console script"."""
+    lines = text.splitlines()
+    step = next(i for i, line in enumerate(lines) if line.strip() == "- name: Console script")
+    run = next(i for i in range(step + 1, len(lines)) if lines[i].strip() == "run: |")
+    assert not any(line.lstrip().startswith("- ") for line in lines[step + 1:run]), \
+        "the Console script step has no run: | block"
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    block = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line.strip())
+    return run + 1, [line for line in block if line]
+
+
+def _console_command(line: str) -> tuple[list[str], int | None]:
+    """(argv, stdout) of a workflow line: ``qotto ARGS`` runs as ``python -m qotto ARGS`` and
+    ``python ...`` as written, each with this interpreter; a trailing ``> /dev/null`` sends
+    stdout to DEVNULL. Any other line raises ValueError."""
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    words = list(lexer)
+    stdout = None
+    if words[-2:] == [">", "/dev/null"]:
+        words, stdout = words[:-2], subprocess.DEVNULL
+    if (not words or words[0] not in ("qotto", "python")
+            or any(set(word) <= _SHELL_PUNCTUATION for word in words)
+            or any(c in word for word in words for c in "$`")):
+        raise ValueError(f"cannot translate workflow line {line!r}")
+    head = [sys.executable, "-m", "qotto"] if words[0] == "qotto" else [sys.executable]
+    return head + words[1:], stdout
+
+
+def _run_console_script(workflow: Path) -> None:
+    """Run each Console script line in a fresh process with PYTHONWARNINGS=error, the
+    package importable from this checkout as after the workflow's editable install, and
+    assert it exits 0."""
+    env = dict(os.environ, PYTHONWARNINGS="error",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    for line in _console_script(workflow.read_text(encoding="utf-8"))[1]:
+        argv, stdout = _console_command(line)
+        proc = subprocess.run(argv, cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                              text=True)
+        assert proc.returncode == 0, f"{line!r} exited {proc.returncode}:\n{proc.stderr}"
+
+
+def _workflow_copy(tmp_path, first_line: str) -> Path:
+    """The workflow with ``first_line`` put before the Console script's first line."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    first, _ = _console_script(text)
+    indent = lines[first][:len(lines[first]) - len(lines[first].lstrip())]
+    path = tmp_path / "tests.yml"
+    path.write_text("\n".join(lines[:first] + [indent + first_line] + lines[first:]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+class TestWorkflowConsoleScript:
+    """The CI workflow's "Console script" lines, run as the workflow runs them."""
+
+    def test_every_line_exits_zero(self):
+        # the step had 13 lines when this test was written; fewer means the parser stopped early
+        assert len(_console_script(WORKFLOW.read_text(encoding="utf-8"))[1]) >= 13
+        _run_console_script(WORKFLOW)
+
+    def test_broken_line_fails(self, tmp_path):
+        with pytest.raises(AssertionError, match="no-such-flag' exited 1"):
+            _run_console_script(_workflow_copy(tmp_path, "qotto cycle --no-such-flag"))
+
+    def test_untranslatable_line_fails(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot translate"):
+            _run_console_script(_workflow_copy(tmp_path, "qotto --version | head -n 1"))

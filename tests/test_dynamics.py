@@ -10,7 +10,7 @@ from qotto import dynamics, linalg
 from qotto.cycle import (build_config, max_energy_deviation, strong_cycle,
                          strong_cycle_via_oracle)
 from qotto.dynamics import (QubitState, bath_thermal_matrix,
-                            cp_divisibility_witness, joint_state,
+                            coupling_hamiltonian, cp_divisibility_witness, joint_state,
                             joint_state_closed_form, master_equation_rhs,
                             oracle_propagate, reduced_state,
                             reshuffle, total_hamiltonian, vectorized_reps)
@@ -131,6 +131,23 @@ class TestJointStateClosedForm:
                 marginal = linalg.partial_trace_bath(joint_state(sys, profile, omega, t))
                 expected = reduced_state(sys, profile, omega, t).matrix()
                 assert np.max(np.abs(marginal - expected)) <= 1e-10
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(p=st.floats(0.0, 1.0), radius=st.floats(0.0, 1.0),
+           angle=st.floats(0.0, 2.0 * math.pi), g=st.floats(0.0, 1.0),
+           phase=st.floats(-10.0, 10.0), omega=st.floats(0.1, 10.0),
+           omega_t=st.floats(0.0, 50.0))
+    def test_matches_exponential_of_summed_generator(self, p, radius, angle, g, phase,
+                                                     omega, omega_t):
+        # expm of t H_free + F P assumes nothing of the two parts commuting; it drifts
+        # past 1e-13 itself only at omega t ~ 1e3
+        from scipy.linalg import expm
+        sys = QubitState(p=p, x=radius * math.sqrt(p * (1.0 - p)) * np.exp(1j * angle))
+        t = omega_t / omega
+        u = expm(-1j * (t * total_hamiltonian(omega, 0.0) + phase * coupling_hamiltonian(1.0)))
+        expected = u @ np.kron(sys.matrix(), bath_thermal_matrix(g)) @ u.conj().T
+        rho = joint_state_closed_form(sys, g, omega, phase, t)
+        assert np.max(np.abs(rho - expected)) <= 1e-13
 
 
 class TestReducedState:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from qotto.linalg import (IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                          hermitian_eig, partial_trace_bath, partial_trace_system)
+from qotto.dynamics import total_hamiltonian
+from qotto.linalg import (IDENTITY_2, SIGMA_Z, hermitian_eig, partial_trace_bath,
+                          partial_trace_system)
 from qotto.tolerances import TOL
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 def random_density(rng, dim):
@@ -17,19 +21,28 @@ def random_hermitian(rng, dim):
     return (a + a.conj().T) / 2
 
 
+def pauli_hamiltonian(omega, f):
+    """The paper's omega (sigma_z x 1 + 1 x sigma_z) + f/2 (sigma_x x sigma_x + sigma_y x sigma_y)."""
+    return (omega * (np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z))
+            + f / 2 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)))
+
+
 class TestTensorProduct:
-    def test_identity(self):
-        assert np.array_equal(np.kron(IDENTITY_2, IDENTITY_2), IDENTITY_4)
+    # every entry of either side is a sum of exact products, so they agree bit for bit
+    CASES = [(1.0, 0.0), (0.0, 1.0), (2.3, -0.7), (-0.4, 5.5), (1e3, 1e-3)]
 
     def test_free_hamiltonian_is_diagonal(self):
-        h = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
-        assert np.allclose(h, np.diag([2.0, 0.0, 0.0, -2.0]), atol=1e-15)
+        for omega, _ in self.CASES:
+            h = total_hamiltonian(omega, 0.0)
+            assert np.array_equal(h, pauli_hamiltonian(omega, 0.0))
+            assert np.array_equal(h, np.diag(np.diag(h)))
 
     def test_exchange_coupling_pattern(self):
-        h = (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)) / 2
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[1, 2] = expected[2, 1] = 1.0
-        assert np.allclose(h, expected, atol=1e-15)
+        for omega, f in self.CASES:
+            assert np.array_equal(total_hamiltonian(omega, f), pauli_hamiltonian(omega, f))
+        # the closed-form propagator factors into a free and a coupling exponential
+        a, b = total_hamiltonian(1.7, 0.9), total_hamiltonian(1.7, -3.2)
+        assert np.max(np.abs(a @ b - b @ a)) <= 1e-15
 
 
 class TestPartialTrace:
@@ -87,7 +100,7 @@ class TestHermitianEig:
         evals, evecs = hermitian_eig(a)
         recon = (evecs * evals) @ evecs.conj().T
         assert np.max(np.abs(recon - a)) <= TOL.eig_reconstruction
-        assert np.max(np.abs(evecs @ evecs.conj().T - IDENTITY_4)) <= TOL.unitarity
+        assert np.max(np.abs(evecs @ evecs.conj().T - np.eye(4))) <= TOL.unitarity
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
