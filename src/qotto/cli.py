@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -142,8 +141,13 @@ def _parse_overrides(pairs: list[str]) -> dict:
 def load_cycle_config(path: str | None, overrides: dict) -> tuple[CycleConfig, dict]:
     raw = dict(_DEFAULT_CONFIG)
     if path is not None:
+        import json  # here, not at module level: only --config reads JSON
+
         with open(path, encoding="utf-8") as stream:
-            data = json.load(stream)
+            try:
+                data = json.load(stream)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError([f"config file {path} is not valid JSON: {exc}"]) from None
         if not isinstance(data, dict):
             raise ConfigError(["config file must hold a JSON object, "
                                f"got {type(data).__name__}"])

@@ -1,12 +1,12 @@
 import ast
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 import time
@@ -26,6 +26,16 @@ from qotto.profiles import MarkovianProfile, NonMarkovianProfile
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+repo_commands = _load_tool("repo_commands")
 
 
 def read_csv(path):
@@ -740,15 +750,25 @@ def test_no_runtime_module_imports_scipy():
                 f"{path.name}:{node.lineno} imports scipy"
 
 
-def test_runtime_dependencies_are_numpy_alone():
-    # read without tomllib, which Python 3.10 lacks: the [project] table's
-    # dependencies array, up to its closing bracket
+def _pyproject_table() -> str:
+    """The text of pyproject's [project] table, read without tomllib, which Python 3.10
+    lacks."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
-    array = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project, re.MULTILINE | re.DOTALL)
+    return text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    # the dependencies array, up to its closing bracket
+    array = re.search(r"^dependencies\s*=\s*\[(.*?)\]", _pyproject_table(),
+                      re.MULTILINE | re.DOTALL)
     names = [re.match(r"[A-Za-z0-9_.-]+", entry).group(0)
              for entry in re.findall(r'"([^"]*)"', array.group(1))]
     assert names == ["numpy"]
+
+
+def test_version_is_pyprojects():
+    (version,) = re.findall(r'^version\s*=\s*"([^"]*)"', _pyproject_table(), re.MULTILINE)
+    assert __version__ == version
 
 
 def _scaled_values(k: int, tau_h: float, tau_c: float) -> dict:
@@ -844,6 +864,23 @@ class TestConfigFaults:
         path.write_text(text)
         assert run(["cycle", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", [["cycle"], ["sweep", "--sweep", "tau_h:0.1:1:3"]],
+                             ids=["cycle", "sweep"])
+    @pytest.mark.parametrize("data, message", [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"tau_h": 1.0', "Expecting ',' delimiter: line 1 column 14 (char 13)"),
+        (b'{"tau_h": "\xe9"}',
+         "'utf-8' codec can't decode byte 0xe9 in position 11: invalid continuation byte"),
+    ], ids=["empty", "truncated", "not-utf-8"])
+    def test_malformed_config_file_is_named(self, command, data, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        argv = command + ["--config", str(path), "--out", str(tmp_path / "c.csv")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config file {path} is not valid JSON: {message}\n")
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("0.1 1\nnan 1\n0.3 1\n", "tabulated profile {path} holds a non-finite sample"),
@@ -960,19 +997,14 @@ class TestRawConfigs:
                 _cli(["cycle", "--config", str(path), "--out", out])
 
 
-def _readme_examples() -> list[list[str]]:
-    """argv of every ``qotto <command> ...`` line in the README's shell blocks."""
-    return [shlex.split(line, comments=True)[1:]
-            for line in README.read_text(encoding="utf-8").splitlines()
-            if line.startswith("qotto ") and "<command>" not in line]
+_README_EXAMPLES = repo_commands.readme_examples(README.read_text(encoding="utf-8"))
 
 
 class TestReadmeExamples:
     def test_cover_every_command(self):
-        assert {argv[0] for argv in _readme_examples()} == {"dynamics", "witness",
-                                                            "cycle", "sweep"}
+        assert {argv[0] for argv in _README_EXAMPLES} == {"dynamics", "witness", "cycle", "sweep"}
 
-    @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+    @pytest.mark.parametrize("argv", _README_EXAMPLES, ids=" ".join)
     def test_runs_without_warnings(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QOTTO_OUT_DIR", str(tmp_path))
         assert run(argv) == 0
@@ -989,43 +1021,6 @@ class TestReadmeExamples:
 
 
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-#: a token made only of these is shell syntax that a fresh process would not interpret
-_SHELL_PUNCTUATION = set("();<>|&")
-
-
-def _console_script(text: str) -> tuple[int, list[str]]:
-    """(index in ``text.splitlines()`` of the first line, the lines) of the ``run: |`` block
-    of the workflow step named "Console script"."""
-    lines = text.splitlines()
-    step = next(i for i, line in enumerate(lines) if line.strip() == "- name: Console script")
-    run = next(i for i in range(step + 1, len(lines)) if lines[i].strip() == "run: |")
-    assert not any(line.lstrip().startswith("- ") for line in lines[step + 1:run]), \
-        "the Console script step has no run: | block"
-    indent = len(lines[run]) - len(lines[run].lstrip())
-    block = []
-    for line in lines[run + 1:]:
-        if line.strip() and len(line) - len(line.lstrip()) <= indent:
-            break
-        block.append(line.strip())
-    return run + 1, [line for line in block if line]
-
-
-def _console_command(line: str) -> tuple[list[str], int | None]:
-    """(argv, stdout) of a workflow line: ``qotto ARGS`` runs as ``python -m qotto ARGS`` and
-    ``python ...`` as written, each with this interpreter; a trailing ``> /dev/null`` sends
-    stdout to DEVNULL. Any other line raises ValueError."""
-    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
-    lexer.whitespace_split = True
-    words = list(lexer)
-    stdout = None
-    if words[-2:] == [">", "/dev/null"]:
-        words, stdout = words[:-2], subprocess.DEVNULL
-    if (not words or words[0] not in ("qotto", "python")
-            or any(set(word) <= _SHELL_PUNCTUATION for word in words)
-            or any(c in word for word in words for c in "$`")):
-        raise ValueError(f"cannot translate workflow line {line!r}")
-    head = [sys.executable, "-m", "qotto"] if words[0] == "qotto" else [sys.executable]
-    return head + words[1:], stdout
 
 
 def _run_console_script(workflow: Path) -> None:
@@ -1035,8 +1030,8 @@ def _run_console_script(workflow: Path) -> None:
     env = dict(os.environ, PYTHONWARNINGS="error",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    for line in _console_script(workflow.read_text(encoding="utf-8"))[1]:
-        argv, stdout = _console_command(line)
+    for line in repo_commands.console_script(workflow.read_text(encoding="utf-8"))[1]:
+        argv, stdout = repo_commands.console_command(line)
         proc = subprocess.run(argv, cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE,
                               text=True)
         assert proc.returncode == 0, f"{line!r} exited {proc.returncode}:\n{proc.stderr}"
@@ -1046,7 +1041,7 @@ def _workflow_copy(tmp_path, first_line: str) -> Path:
     """The workflow with ``first_line`` put before the Console script's first line."""
     text = WORKFLOW.read_text(encoding="utf-8")
     lines = text.splitlines()
-    first, _ = _console_script(text)
+    first, _ = repo_commands.console_script(text)
     indent = lines[first][:len(lines[first]) - len(lines[first].lstrip())]
     path = tmp_path / "tests.yml"
     path.write_text("\n".join(lines[:first] + [indent + first_line] + lines[first:]) + "\n",
@@ -1059,7 +1054,7 @@ class TestWorkflowConsoleScript:
 
     def test_every_line_exits_zero(self):
         # the step had 13 lines when this test was written; fewer means the parser stopped early
-        assert len(_console_script(WORKFLOW.read_text(encoding="utf-8"))[1]) >= 13
+        assert len(repo_commands.console_script(WORKFLOW.read_text(encoding="utf-8"))[1]) >= 13
         _run_console_script(WORKFLOW)
 
     def test_broken_line_fails(self, tmp_path):
