@@ -14,11 +14,10 @@ only ``TOL`` or an error class pays for ``qotto.tolerances`` or
 ``qotto.errors`` alone.
 """
 
-import sys
-
 __version__ = "0.1.0"
 
-_HOMES = {
+#: public name -> its home module; a submodule maps to itself
+_LAZY = {name: module for module, names in {
     "cycle": ("CycleConfig", "CycleReport", "CycleSweep", "build_config", "classify_regime",
               "max_energy_deviation", "strong_cycle", "strong_cycle_sweep",
               "strong_cycle_via_oracle", "weak_cycle"),
@@ -34,10 +33,7 @@ _HOMES = {
     "thermo": ("EnergyLedger", "connect_disconnect_work", "entropy_production", "gibbs_state",
                "heat_into_system", "internal_energy", "relative_entropy"),
     "tolerances": ("TOL", "Tolerances"),
-}
-
-#: public name -> its home module; a submodule maps to itself
-_LAZY = {name: module for module, names in _HOMES.items() for name in (module, *names)}
+}.items() for name in (module, *names)}
 
 __all__ = sorted(name for name, module in _LAZY.items() if name != module)
 
@@ -45,11 +41,11 @@ __all__ = sorted(name for name, module in _LAZY.items() if name != module)
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    home = f"{__name__}.{_LAZY[name]}"
     # __import__, not importlib.import_module: only the former is the import
-    # that python -X importtime reports
-    __import__(home)
-    value = sys.modules[home] if _LAZY[name] == name else getattr(sys.modules[home], name)
+    # that python -X importtime reports. It binds the submodule in this namespace.
+    __import__(f"{__name__}.{_LAZY[name]}")
+    module = globals()[_LAZY[name]]
+    value = module if _LAZY[name] == name else getattr(module, name)
     globals()[name] = value
     return value
 

@@ -310,7 +310,7 @@ def run_sweep(args) -> int:
     base, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
     sweep = strong_cycle_sweep(base, axis, np.linspace(lo, hi, count))
     report = sweep.report
-    cells = {**vars(report), "work": report.work_total,
+    cells = {**report._asdict(), "work": report.work_total,
              **{f"w_{name}": work for name, work in report.boundary_works().items()}}
     table = {"index": range(count), axis: sweep.values, "valid": sweep.valid.astype(int),
              "regime": np.where(sweep.valid, report.regime, "skipped"),

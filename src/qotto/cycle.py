@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,8 +204,7 @@ def build_config(omega_c: float, omega_h: float, beta_c: float, beta_h: float,
                    else profile_from_spec(kind_c, config.g_c))
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Per-stroke ledger, metrics and law audits: floats for one cycle, columns for a sweep."""
 
     config: CycleConfig
@@ -345,10 +345,10 @@ def _cycle(c: CycleConfig, hot: tuple, cold: tuple, w_cd, work, sw_h, sw_c) -> C
 
 def _entries(r: CycleReport, fn, **changes) -> CycleReport:
     """``r`` with ``fn`` applied to each metric and each ledger entry, and ``changes`` made."""
-    return replace(r, strokes={name: EnergyLedger._make(map(fn, lg))
+    return r._replace(strokes={name: EnergyLedger._make(map(fn, lg))
                                for name, lg in r.strokes.items()},
-                   **{f.name: fn(getattr(r, f.name)) for f in fields(r)
-                      if f.name not in ("config", "strokes")}, **changes)
+                      **{name: fn(getattr(r, name)) for name in r._fields
+                         if name not in ("config", "strokes")}, **changes)
 
 
 def _report(r: CycleReport) -> CycleReport:
@@ -474,8 +474,7 @@ def apply_axis(config: CycleConfig, axis: str, value: float) -> CycleConfig:
     return _rebuild_profile(cfg, axis)
 
 
-@dataclass(frozen=True)
-class CycleSweep:
+class CycleSweep(NamedTuple):
     """Strong cycles over a grid of one parameter, one row per value of ``values``.
 
     ``report`` is one ``CycleReport`` of columns over every row, whose ``config`` is

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,8 +222,7 @@ def oracle_propagate(sys: QubitState, profile: CouplingProfile, omega: float,
 
 # --- vectorized map, generator and witness ----------------------------------
 
-@dataclass(frozen=True)
-class VectorizedRep:
+class VectorizedRep(NamedTuple):
     """Row-major vectorized dynamical map, its generator, and the reshuffled generator."""
 
     map_hat: np.ndarray

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .errors import ConfigError, SingularGeneratorError
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class RatePair:
+class RatePair(NamedTuple):
     """Emission/absorption rates (1 +/- g) * gamma at one instant."""
 
     gamma_minus: float

@@ -6,11 +6,10 @@ thresholds and acceptance thresholds cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     hermitian: float = 1e-12            # |A - A^dag| entrywise
     trace_one: float = 1e-10            # |Tr rho - 1|
     psd_floor: float = -1e-10           # smallest admissible density eigenvalue

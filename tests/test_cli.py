@@ -1,7 +1,6 @@
 import ast
 import contextlib
 import csv
-import importlib.util
 import io
 import json
 import math
@@ -17,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repo_commands
 from qotto import __version__, cli, cycle, profiles
 from qotto.cli import load_cycle_config, main
 from qotto.cycle import NUMERIC_FIELDS, build_config, strong_cycle
@@ -26,16 +26,6 @@ from qotto.profiles import MarkovianProfile, NonMarkovianProfile
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
-
-
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-repo_commands = _load_tool("repo_commands")
 
 
 def read_csv(path):

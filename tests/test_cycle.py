@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -678,10 +678,10 @@ class TestStrongCycleSweep:
                 continue
             assert sweep.valid[k] and sweep.errors[k] == ""
             assert rows.regime[k] == report.regime
-            for field in fields(CycleReport):
-                if field.name not in ("config", "strokes", "regime"):
-                    assert _bits(getattr(rows, field.name)[k]) == \
-                        _bits(getattr(report, field.name)), field.name
+            for field in CycleReport._fields:
+                if field not in ("config", "strokes", "regime"):
+                    assert _bits(getattr(rows, field)[k]) == \
+                        _bits(getattr(report, field)), field
             for name, ledger in report.strokes.items():
                 for field, column in zip(EnergyLedger._fields, rows.strokes[name]):
                     assert _bits(column[k]) == _bits(getattr(ledger, field)), (name, field)

@@ -86,6 +86,7 @@ def test_star_import_binds_every_name():
 
 def test_dir_lists_names_and_submodules():
     assert set(qotto.__all__) | set(SUBMODULES) <= set(dir(qotto))
+    assert "sys" not in dir(qotto)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,12 +1,10 @@
 """``tools/same_output.py``: its CSV diff and cell count, and one A/A run."""
 
-import importlib.util
 from pathlib import Path
 
+import same_output
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("same_output", ROOT / "tools" / "same_output.py")
-same_output = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(same_output)
 
 BASE = "# qotto 0.1.0\n# command = sweep\nt,W,regime\n1,0.5,engine\n2,0.25,engine\n3,0.125,other\n"
 

@@ -33,6 +33,8 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
+import repo_commands
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 COMMAND_TIMEOUT_S = 300  # the slowest plan operation takes a few seconds
@@ -43,9 +45,6 @@ def _load(path: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-repo_commands = _load(HERE / "repo_commands.py")
 
 
 def _csv_path(argv: list[str]) -> str | None:
