@@ -1,7 +1,10 @@
 """DOP853, the 8th-order Dormand-Prince method of Hairer, Norsett and Wanner (Solving ODEs I,
-Sec. II.5 and II.10), computed operation for operation as ``scipy.integrate.solve_ivp(method=
-"DOP853")`` computes it, so its end states and right-hand-side counts equal scipy's bit for bit.
-It integrates forward from u = 0 and returns the end state, with no options and no dense output.
+Sec. II.5 and II.10), for the linear system dy/du = L(u) y. Every operation that decides a step
+is the one ``scipy.integrate.solve_ivp(method="DOP853")`` performs on the right-hand side
+``lambda u, y: L(np.array([u]))[0] @ y``, so the steps, end states and evaluation counts equal
+scipy's bit for bit. All nodes of a step are known before its first stage runs, so L is
+evaluated on them in one call per step attempt. It integrates forward from u = 0 and returns
+the end state, with no options and no dense output.
 """
 
 import math
@@ -55,26 +58,43 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 _EXPONENT = -1 / 8  # -1 / (q + 1), q = 7 the error estimator's order
 
 
+#: nodes of a step's 12 right-hand sides in units of h past its start: stages 1-11, then the
+#: end state, which shares the node u + h with stage 11 but not its state
+_NODES = np.append(C[1:], 1.0)
+
+
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, y, f, u_end, rtol, atol):
-    """Hairer's guess at the first step, at the cost of one right-hand-side call."""
+def _squared_norm(x):
+    """``np.linalg.norm(x) ** 2`` of a complex vector, computed as numpy computes it."""
+    re, im = x.real, x.imag
+    return np.sqrt(re.dot(re) + im.dot(im)) ** 2
+
+
+def _initial_step(generator, y, f, u_end, rtol, atol):
+    """Hairer's guess at the first step, at the cost of one right-hand-side evaluation."""
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, u_end)
-    d2 = _rms((fun(h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((generator(np.array([h0]))[0] @ (y + h0 * f) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, u_end)
 
 
-def integrate(fun, u_end, y, rtol, atol):
-    """State at u_end > 0 of dy/du = fun(u, y) from y at u = 0, each step's local error held
-    below atol + rtol |y|; a step below ten float spacings of u raises IntegrationFailureError."""
-    f = fun(0.0, y)
-    h_abs = _initial_step(fun, y, f, u_end, rtol, atol)
-    K = np.empty((13, y.size), dtype=y.dtype)
+def integrate(generator, u_end, y, rtol, atol):
+    """State at u_end > 0 of dy/du = L(u) y from the complex y at u = 0, where generator(us)
+    returns L at the nodes us as an array of shape (len(us), y.size, y.size). Each step's
+    local error is held below atol + rtol |y|; a step below ten float spacings of u raises
+    IntegrationFailureError."""
+    a, b, e3, e5 = (m.astype(y.dtype) for m in (A, B, E3, E5))
+    K = np.empty((13, y.size), dtype=y.dtype)  # K[0] is the right-hand side at u
+    K[0] = generator(np.zeros(1))[0] @ y
+    h_abs = _initial_step(generator, y, K[0], u_end, rtol, atol)
+    # stage s reads y + h K[:s]^T a[s, :s] into z and writes its right-hand side to K[s]
+    stages = [(K[:s].T, a[s, :s], K[s]) for s in range(1, 12)]
+    z = np.empty_like(y)
     u = 0.0
     while u < u_end:
         min_step = 10 * math.ulp(u)
@@ -87,14 +107,24 @@ def integrate(fun, u_end, y, rtol, atol):
             u_new = min(u + h_abs, u_end)
             h = u_new - u
             h_abs = abs(h)
-            K[0] = f
-            for s in range(1, 12):
-                K[s] = fun(u + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = K[-1] = fun(u + h, y_new)
+            h_cast = np.array(h, dtype=y.dtype)  # as numpy casts h in y * h, but cast once
+            L = generator(u + _NODES * h)
+            for (k_t, a_s, k_s), L_s in zip(stages, L):
+                np.dot(k_t, a_s, out=z)
+                z *= h_cast
+                z += y
+                np.matmul(L_s, z, out=k_s)
+            y_new = np.dot(K[:12].T, b)
+            y_new *= h_cast
+            y_new += y
+            np.matmul(L[11], y_new, out=K[12])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
+            err = np.dot(K.T, e5)
+            err /= scale
+            err5 = _squared_norm(err)
+            np.dot(K.T, e3, out=err)
+            err /= scale
+            err3 = _squared_norm(err)
             error_norm = (0.0 if err5 == 0 and err3 == 0
                           else abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * y.size))
             if error_norm < 1:
@@ -104,5 +134,6 @@ def integrate(fun, u_end, y, rtol, atol):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _EXPONENT)
             rejected = True
-        u, y, f = u_new, y_new, f_new
+        u, y = u_new, y_new
+        K[0] = K[12]
     return y

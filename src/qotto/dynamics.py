@@ -15,17 +15,19 @@ The oracle integrates the complex joint state with DOP853 (8th-order
 Dormand-Prince) in one call, ``oracle_propagate``, at ``TOL.oracle_rtol`` and
 ``TOL.oracle_atol``, from the product state at t = 0 in the variable
 u = sqrt(t / g), where the coupling's 1/sqrt(t) divergence becomes the smooth
-``profile.dphase_du``; it never reads the closed-form phase. Each stroke may
-spend at most ``ORACLE_RHS_BUDGET`` right-hand-side evaluations. The
+``profile.dphase_du``; it never reads the closed-form phase. The equation is
+linear, d vec(rho)/du = L(u) vec(rho), and the integrator builds the 16x16
+Liouvillian L on all nodes of a step in one call. Each stroke may spend at
+most ``ORACLE_RHS_BUDGET`` right-hand-side evaluations, one per node. The
 vectorized map, its derivative and its inverse are built by one helper from a
 2x2 population block and a coherence factor, with the phase and the coupling
 each evaluated once per time; their witness audits the CLI's witness column,
 and ``joint_state_closed_form`` the cycle's scalar entropy productions.
 
 No command needs scipy: the oracle's stepper is ``qotto.dop853``, which takes
-the steps of scipy's DOP853 bit for bit, and the module-level ``solve_ivp``
-imports it on the first integration, so importing this module (and the closed
-forms, the witness and the CLI's non-oracle commands) loads no tableau.
+the steps of scipy's DOP853 on L(u) y bit for bit, and the module-level
+``solve_ivp`` imports it on the first integration, so importing this module (and
+the closed forms, the witness and the CLI's non-oracle commands) loads no tableau.
 
 Convention: the joint state evolves through U(t) = exp(-i * int_0^t H dt').
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +49,8 @@ from .tolerances import TOL
 #: not an integration bound: ``strong_cycle_via_oracle`` reads the disconnection cost of
 #: a contact shorter than this at this surrogate time, since f diverges at t = 0
 ORACLE_T_START = 1e-6
-#: right-hand-side evaluations one oracle stroke may use: 3-5 s on a shared 2-core x86 machine
+#: right-hand-side evaluations one oracle stroke may use, one per node of its Liouvillian:
+#: 1.4-2.6 s on a shared 2-core x86 machine
 ORACLE_RHS_BUDGET = 200_000
 
 _COUPLING_PATTERN = np.zeros((4, 4), dtype=complex)
@@ -156,38 +160,48 @@ def master_equation_rhs(rho: np.ndarray, omega: float, rates: RatePair) -> np.nd
 
 # --- independent integrator -------------------------------------------------
 
-#: the free part of -i [H, rho] per unit omega on the row-major vec(rho):
-#: -i (d_i - d_j) with d = diag(_FREE_PART)
-_FREE_COMMUTATOR = -1j * np.subtract.outer(np.diag(_FREE_PART), np.diag(_FREE_PART)).ravel()
+#: d_i - d_j on the row-major vec(rho), d = diag(_FREE_PART): -i omega (d_i - d_j) is the
+#: free part of -i [H, rho]
+_FREE_SPLITTING = np.subtract.outer(np.diag(_FREE_PART), np.diag(_FREE_PART)).real.ravel()
 #: -i [P, rho] as a 16x16 superoperator on the row-major vec(rho), P = _COUPLING_PATTERN
 _COUPLING_COMMUTATOR = -1j * (np.kron(_COUPLING_PATTERN, np.eye(4))
                               - np.kron(np.eye(4), _COUPLING_PATTERN.T))
+_FLOAT_MAX = float_info.max
 
 
 def _liouville_rhs(profile: CouplingProfile, omega: float, t_end: float):
-    """d vec(rho)/du = 2 g u omega free vec(rho) + dF/du C vec(rho) at t = g u^2, counted
-    against ORACLE_RHS_BUDGET."""
+    """The generator us -> L(us), of shape (len(us), 16, 16), of d vec(rho)/du = L(u) vec(rho)
+    = 2 g u (-i [H(f(g u^2)), rho]): dF/du times the coupling commutator, plus the free rates
+    -i 2 g u omega (d_i - d_j) on the diagonal. Each node counts as one evaluation against
+    ORACLE_RHS_BUDGET, as each right-hand side counts in scipy's nfev."""
     two_g = 2.0 * profile.g
-    calls = 0
+    with np.errstate(over="ignore"):
+        rates = np.clip(-omega * _FREE_SPLITTING, -_FLOAT_MAX, _FLOAT_MAX)
+    # 2 g u is capped so that no rate leaves the float range: a rate past it times a
+    # coherence that stays exactly 0 would give NaN, not 0. The cap is rounded down, so
+    # that it times the largest rate rounds to a finite float.
+    cap = math.nextafter(_FLOAT_MAX / max(np.max(np.abs(rates)), 1.0), 0.0)
+    evaluations = 0
 
-    def rhs(u, y):
-        nonlocal calls
-        calls += 1
-        if calls > ORACLE_RHS_BUDGET:
+    def generator(us):
+        nonlocal evaluations
+        evaluations += us.size
+        if evaluations > ORACLE_RHS_BUDGET:
             raise IntegrationFailureError(
                 f"oracle stroke of duration {t_end!r} exceeds the budget of "
                 f"{ORACLE_RHS_BUDGET} right-hand-side evaluations")
-        # scaled after the product, so the entries the free part leaves at 0 stay 0
-        # even where omega * _FREE_COMMUTATOR would overflow
-        return ((_FREE_COMMUTATOR * y) * omega * (two_g * u)
-                + profile.dphase_du(u) * (_COUPLING_COMMUTATOR @ y))
-    return rhs
+        liouvillian = profile.dphase_du(us)[:, None, None] * _COUPLING_COMMUTATOR
+        liouvillian.reshape(us.size, 256)[:, ::17].imag = np.multiply.outer(
+            np.minimum(two_g * us, cap), rates)
+        return liouvillian
+    return generator
 
 
 def solve_ivp(fun, u_end, y0, *, rtol, atol):
-    """``qotto.dop853.integrate`` from y0 at u = 0 to u_end, imported on the first oracle
-    integration. It keeps scipy's ``solve_ivp`` name and right-hand-side-first call because
-    the benchmark's tracer and the tests wrap this attribute to count right-hand-side calls."""
+    """``qotto.dop853.integrate`` of d vec(rho)/du = L(u) vec(rho) from y0 at u = 0 to u_end,
+    with fun the generator of L, imported on the first oracle integration. It keeps scipy's
+    ``solve_ivp`` name and function-first call because the benchmark's tracer and the tests
+    wrap this attribute to count the generator's calls."""
     from . import dop853
 
     return dop853.integrate(fun, u_end, y0, rtol, atol)
@@ -201,12 +215,13 @@ def oracle_propagate(sys: QubitState, profile: CouplingProfile, omega: float,
     ``profile.phase`` call, so that it is an independent check of the
     closed-form state. f(t) ~ 1/(2 sqrt(g t)) diverges at t = 0, so the
     equation is integrated in u = sqrt(t / g), where it reads
-    ``d vec(rho)/du = 2 g u omega free * vec(rho) + dF/du C vec(rho)`` with the
-    smooth ``dF/du = profile.dphase_du(u)``: from u = 0 and the product state
-    to u = sqrt(t) / sqrt(g) (t / g overflows for a bath near g = 0). The free
-    part is an elementwise scale, C the commutator with the exchange coupling
-    as a 16x16 superoperator; the complex 16-vector vec(rho) is integrated as
-    it is by ``qotto.dop853`` at ``TOL.oracle_rtol`` and ``TOL.oracle_atol``.
+    ``d vec(rho)/du = L(u) vec(rho)``, ``L(u) = dF/du C - i 2 g u omega D`` with
+    the smooth ``dF/du = profile.dphase_du(u)``: from u = 0 and the product
+    state to u = sqrt(t) / sqrt(g) (t / g overflows for a bath near g = 0). C is
+    the commutator with the exchange coupling as a 16x16 superoperator, D the
+    diagonal of the free energy splittings; the complex 16-vector vec(rho) is
+    integrated as it is by ``qotto.dop853`` at ``TOL.oracle_rtol`` and
+    ``TOL.oracle_atol``, which evaluates L on all nodes of a step at once.
     A stroke that needs more than ``ORACLE_RHS_BUDGET`` evaluations (a
     non-Markovian one past about 466 time units at g = 0.4 and omega = 2, whose
     ripple keeps the steps short), or a step below ten float spacings of u,

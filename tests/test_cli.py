@@ -628,7 +628,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and f"budget of {dynamics.ORACLE_RHS_BUDGET}" in err
         assert err.startswith(f"runtime error: {bath} contact: ")
-        assert elapsed < 20.0  # about 5 s at the real budget; unbounded before the budget
+        assert elapsed < 20.0  # about 2 s at the real budget; unbounded before the budget
 
     def test_oracle_mismatch_exits_three(self, capsys, monkeypatch):
         from qotto import cli

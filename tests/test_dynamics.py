@@ -1,12 +1,15 @@
+import importlib.util
 import math
 import re
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qotto import dynamics, linalg
+from qotto.cli import load_cycle_config
 from qotto.cycle import (build_config, max_energy_deviation, strong_cycle,
                          strong_cycle_via_oracle)
 from qotto.dynamics import (QubitState, bath_thermal_matrix,
@@ -18,6 +21,11 @@ from qotto.errors import IntegrationFailureError, SingularGeneratorError
 from qotto.profiles import (MarkovianProfile, NonMarkovianProfile, RatePair,
                             TabulatedProfile, rate_gamma, rate_pair)
 from qotto.tolerances import TOL
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PROFILES = [MarkovianProfile(g=0.8), NonMarkovianProfile(g=0.3),
+            TabulatedProfile(g=0.6, times=np.linspace(0.05, 5.0, 40),
+                             values=0.5 + 0.3 * np.sin(np.linspace(0.05, 5.0, 40)))]
 
 
 def random_qubit_state(rng):
@@ -217,23 +225,34 @@ class TestOracle:
         strong_cycle_via_oracle(build_config(1.0, 2.0, 1.0, 0.2, tau_h=0.5, tau_c=0.5))
         assert seen == [(np.complex128, TOL.oracle_rtol, TOL.oracle_atol)] * 2
 
-    @pytest.mark.parametrize("profile", [
-        MarkovianProfile(g=0.8), NonMarkovianProfile(g=0.3),
-        TabulatedProfile(g=0.6, times=np.linspace(0.05, 5.0, 40),
-                         values=0.5 + 0.3 * np.sin(np.linspace(0.05, 5.0, 40)))])
+    @pytest.mark.parametrize("profile", PROFILES)
     def test_rhs_is_the_commutator(self, profile):
         # in u = sqrt(t / g): d rho/du = dt/du d rho/dt = 2 g u (-i [H(f(g u^2)), rho])
         rng = np.random.default_rng(5)
         omega, g = 1.7, profile.g
-        rhs = dynamics._liouville_rhs(profile, omega, 5.0)
-        for t in (0.06, 0.4, 1.3, 2.7, 4.9):
-            u = math.sqrt(t / g)
+        us = np.sqrt(np.array([0.06, 0.4, 1.3, 2.7, 4.9]) / g)
+        liouvillian = dynamics._liouville_rhs(profile, omega, 5.0)(us)
+        for u, l_u in zip(us, liouvillian):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = a + a.conj().T
             h = total_hamiltonian(omega, profile.f(g * u * u))
             expected = 2.0 * g * u * (-1j * (h @ rho - rho @ h))
-            got = rhs(u, rho.ravel()).reshape(4, 4)
+            got = (l_u @ rho.ravel()).reshape(4, 4)
             assert np.max(np.abs(got - expected)) <= 1e-14 * max(1.0, np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("omega", [1.7, 1e308])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_batch_is_the_per_node_route_bit_for_bit(self, profile, omega):
+        generator = dynamics._liouville_rhs(profile, omega, 5.0)
+        us = np.concatenate([[0.0], np.sqrt(np.linspace(0.01, 5.0, 11) / profile.g)])
+        batch = generator(us)
+        assert batch.shape == (us.size, 16, 16) and np.isfinite(batch).all()
+        for u, l_u in zip(us, batch):
+            assert l_u.tobytes() == generator(np.array([u]))[0].tobytes()
+        # past the float range, the free rates of the coherences a diagonal input leaves
+        # at 0 still keep them at exactly 0
+        rho = np.kron(np.diag([0.3, 0.7]), bath_thermal_matrix(profile.g)).ravel()
+        assert np.isfinite(batch @ rho).all()
 
     @pytest.mark.parametrize("profile", [
         MarkovianProfile(g=0.8), NonMarkovianProfile(g=0.3),
@@ -264,14 +283,15 @@ class TestOracle:
 
     @pytest.fixture
     def rhs_calls(self, monkeypatch):
+        """The nodes the oracle's generator is evaluated at, one per right-hand side."""
         calls = []
         solve_ivp = dynamics.solve_ivp
 
-        def counting(fun, *args, **kwargs):
-            def rhs(t, y):
-                calls.append(t)
-                return fun(t, y)
-            return solve_ivp(rhs, *args, **kwargs)
+        def counting(generator, *args, **kwargs):
+            def counted(us):
+                calls.extend(us)
+                return generator(us)
+            return solve_ivp(counted, *args, **kwargs)
         monkeypatch.setattr(dynamics, "solve_ivp", counting)
         return calls
 
@@ -284,36 +304,53 @@ class TestOracle:
         assert len(rhs_calls) <= dynamics.ORACLE_RHS_BUDGET
 
     def test_rhs_budget_stops_unbounded_stroke(self, rhs_calls, monkeypatch):
-        # the right-hand side reads the budget at each call; a small one stops in ms
+        # the generator reads the budget at each call; a small one stops in ms, in the
+        # step attempt whose 12 right-hand sides cross it
         monkeypatch.setattr(dynamics, "ORACLE_RHS_BUDGET", 2000)
         with pytest.raises(IntegrationFailureError,
                            match=re.escape(f"1e+200 exceeds the budget of "
                                            f"{dynamics.ORACLE_RHS_BUDGET}")):
             oracle_propagate(QubitState(p=0.05), NonMarkovianProfile(g=0.4), 2.0, 1e200)
-        assert len(rhs_calls) == dynamics.ORACLE_RHS_BUDGET + 1
+        assert (dynamics.ORACLE_RHS_BUDGET + 1 <= len(rhs_calls)
+                <= dynamics.ORACLE_RHS_BUDGET + 12)
+
+    def test_seed_one_audit_round_evaluates_its_pinned_nodes(self, rhs_calls, tmp_path):
+        # the nine cycle --oracle configs of one seed-1 oracle_audit benchmark round: a
+        # change to the oracle's step sequence changes this count
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        ops = workloads.plan("oracle_audit", 1, str(tmp_path))
+        assert len(ops) == 9
+        for op in ops:
+            strong_cycle_via_oracle(load_cycle_config(op["argv"][op["argv"].index("--config") + 1],
+                                                      {})[0])
+        assert len(rhs_calls) == 10944
 
 
 def _scipy_and_dop853(sys, profile, omega, t):
-    """(final state or raised error, RHS calls) of scipy's DOP853 and of ``dynamics.solve_ivp``
-    on one oracle stroke, each with a fresh budgeted right-hand side."""
+    """(final state or raised error, right-hand sides evaluated) of scipy's DOP853 on
+    L(u) y and of ``dynamics.solve_ivp`` on the generator of L, for one oracle stroke,
+    each with a fresh budgeted generator."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     rho0 = np.kron(sys.matrix(), bath_thermal_matrix(profile.g)).ravel()
     u_end = math.sqrt(t) / math.sqrt(profile.g)
     tolerances = {"rtol": TOL.oracle_rtol, "atol": TOL.oracle_atol}
 
-    def by_scipy(fun):
-        sol = scipy_solve_ivp(fun, (0.0, u_end), rho0, method="DOP853", **tolerances)
+    def by_scipy(generator):
+        sol = scipy_solve_ivp(lambda u, y: generator(np.array([u]))[0] @ y, (0.0, u_end), rho0,
+                              method="DOP853", **tolerances)
         assert sol.success, sol.message
         return sol.y[:, -1]
 
     results = []
     for solve in (by_scipy, lambda fun: dynamics.solve_ivp(fun, u_end, rho0, **tolerances)):
-        rhs, calls = dynamics._liouville_rhs(profile, omega, t), []
+        generator, calls = dynamics._liouville_rhs(profile, omega, t), []
 
-        def counted(u, y, rhs=rhs, calls=calls):
-            calls.append(u)
-            return rhs(u, y)
+        def counted(us, generator=generator, calls=calls):
+            calls.extend(us)
+            return generator(us)
         try:
             results.append((solve(counted), len(calls)))
         except IntegrationFailureError as exc:
@@ -355,30 +392,37 @@ class TestDop853:
         assert np.array_equal(ours, theirs)
         assert our_calls == their_calls
 
-    def test_budget_stops_both_at_the_same_call(self, monkeypatch):
+    def test_budget_stops_both_in_the_same_step_attempt(self, monkeypatch):
         monkeypatch.setattr(dynamics, "ORACLE_RHS_BUDGET", 2000)
         (theirs, their_calls), (ours, our_calls) = _scipy_and_dop853(
             QubitState(p=0.05), NonMarkovianProfile(g=0.4), 2.0, 1e200)
         assert ours == theirs
-        assert our_calls == their_calls == dynamics.ORACLE_RHS_BUDGET + 1
+        assert their_calls == dynamics.ORACLE_RHS_BUDGET + 1
+        # 2 right-hand sides start the run, then 12 per step attempt
+        assert our_calls == 2 + 12 * math.ceil((their_calls - 2) / 12)
 
     def test_fails_like_scipy_below_the_smallest_step(self):
-        # y' = y^2 blows up at u = 1, where the step falls below ten float spacings
+        # y' = y until u = 0.5 and NaN past it: each step across 0.5 is rejected until the
+        # step falls below ten float spacings of u
         from scipy.integrate import solve_ivp as scipy_solve_ivp
 
         from qotto import dop853
-        def squaring(calls):
-            def rhs(u, y):
-                calls.append(u)
-                return y * y
-            return rhs
+
+        def cut_off(calls):
+            def generator(us):
+                calls.extend(us)
+                return np.where(us < 0.5, 1.0, np.nan)[:, None, None] * np.eye(2, dtype=complex)
+            return generator
         their_calls, our_calls = [], []
-        sol = scipy_solve_ivp(squaring(their_calls), (0.0, 2.0), np.ones(2, dtype=complex),
-                              method="DOP853", rtol=TOL.oracle_rtol, atol=TOL.oracle_atol)
-        assert sol.status == -1
-        with pytest.raises(IntegrationFailureError, match=f"^{re.escape(sol.message)}$"):
-            dop853.integrate(squaring(our_calls), 2.0, np.ones(2, dtype=complex),
-                             TOL.oracle_rtol, TOL.oracle_atol)
+        theirs = cut_off(their_calls)
+        with np.errstate(invalid="ignore"):
+            sol = scipy_solve_ivp(lambda u, y: theirs(np.array([u]))[0] @ y, (0.0, 2.0),
+                                  np.ones(2, dtype=complex), method="DOP853",
+                                  rtol=TOL.oracle_rtol, atol=TOL.oracle_atol)
+            assert sol.status == -1
+            with pytest.raises(IntegrationFailureError, match=f"^{re.escape(sol.message)}$"):
+                dop853.integrate(cut_off(our_calls), 2.0, np.ones(2, dtype=complex),
+                                 TOL.oracle_rtol, TOL.oracle_atol)
         assert our_calls == their_calls
 
 

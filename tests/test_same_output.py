@@ -1,7 +1,8 @@
-"""``tools/same_output.py``: its CSV diff and cell count, and one A/A run."""
+"""``tools/same_output.py``: its CSV diff, cell counts and largest changes, and one A/A run."""
 
 from pathlib import Path
 
+import pytest
 import same_output
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,7 +41,25 @@ def test_differences_name_each_field():
     assert same_output.differences(_outcome(), _outcome(exit=1, csv=None)) == \
         {"differs": ["exit", "csv"]}
     assert same_output.differences(_outcome(stderr=b"x"), _outcome(
-        csv=BASE.replace("0.5", "0.6"))) == {"differs": ["stderr", "csv"], "cells": {"W": 1}}
+        csv=BASE.replace("0.5", "0.625"))) == {"differs": ["stderr", "csv"], "cells": {"W": 1},
+                                               "largest_change": {"W": {"abs": 0.125,
+                                                                        "rel": 0.2}}}
+
+
+def test_largest_change_reads_float_cells_and_metadata_values():
+    parent = BASE.replace("sweep\n", "sweep\n# deviation = 4e-13\n")
+    change = (parent.replace("4e-13", "5e-13").replace("sweep", "cycle")
+              .replace("1,0.5", "1,0.75").replace("0.25", "nan")
+              .replace("0.125,other", "0.0625,engine"))
+    assert same_output.changed_cells(parent, change) == {"#": 2, "W": 3, "regime": 1}
+    # W: the largest absolute change (0.25) and the largest relative one (0.0625 of
+    # 0.125) come from different rows; nan, the command name and regime hold no float
+    assert same_output.largest_changes(parent, change) == {
+        "#": {"abs": pytest.approx(1e-13), "rel": pytest.approx(0.2)},
+        "W": {"abs": 0.25, "rel": 0.5}}
+    # a row only one side has, and cells equal as floats but not as text
+    assert same_output.largest_changes(BASE, BASE.replace("0.5", "0.50") + "4,1,other\n") == \
+        {"W": {"abs": 0.0, "rel": 0.0}}
 
 
 def test_a_readme_example_matches_itself(tmp_path):

@@ -14,9 +14,11 @@ interpreter with ``PYTHONPATH=<checkout>/src``:
 The commands are the parent's (its plans, README and workflow): a command
 that only the change has has no parent output to compare with. For each
 command the exit code, stdout, stderr and the bytes of the CSV file it writes
-are compared, and for each CSV that differs the changed cells are counted per
-column. One JSON summary goes to stdout; the exit code is 1 on any
-difference. ``--change`` defaults to the checkout this file belongs to.
+are compared. For each CSV that differs, the changed cells are counted per
+column, and among those that hold a finite float on both sides the largest
+absolute and relative change is reported, also for ``#`` metadata values.
+One JSON summary goes to stdout; the exit code is 1 on any difference.
+``--change`` defaults to the checkout this file belongs to.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import csv
 import importlib.util
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -109,13 +112,14 @@ def _table(text: str) -> tuple[list[str], list[str], list[list[str]]]:
     return meta, header, rows
 
 
-def changed_cells(parent: str, change: str) -> dict:
-    """{column: number of rows whose cell differs} between two CSV texts.
+def _compared(parent: str, change: str):
+    """(column, parent cell, change cell) for every cell two CSV texts compare.
 
-    Metadata lines are compared line by line and counted under ``#``. A row or a
-    column that only one table has counts as changed in every cell it holds."""
+    Metadata lines pair up in order under ``#``. A row, a column or a metadata line
+    that only one table has pairs with None."""
     (meta_a, head_a, rows_a), (meta_b, head_b, rows_b) = _table(parent), _table(change)
-    counts = {"#": sum(a != b for a, b in zip_longest(meta_a, meta_b))}
+    for a, b in zip_longest(meta_a, meta_b):
+        yield "#", a, b
 
     def cells(header, rows, name):
         if name not in header:
@@ -124,9 +128,47 @@ def changed_cells(parent: str, change: str) -> dict:
         return [row[k] if k < len(row) else None for row in rows]
 
     for name in head_a + [name for name in head_b if name not in head_a]:
-        counts[name] = sum(a != b for a, b in zip_longest(cells(head_a, rows_a, name),
-                                                          cells(head_b, rows_b, name)))
-    return {name: n for name, n in counts.items() if n}
+        for a, b in zip_longest(cells(head_a, rows_a, name), cells(head_b, rows_b, name)):
+            yield name, a, b
+
+
+def changed_cells(parent: str, change: str) -> dict:
+    """{column: number of rows whose cell differs} between two CSV texts.
+
+    Metadata lines are compared line by line and counted under ``#``. A row or a
+    column that only one table has counts as changed in every cell it holds."""
+    counts = {}
+    for name, a, b in _compared(parent, change):
+        if a != b:
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _finite(cell: str | None, column: str) -> float | None:
+    """The finite float a cell holds, or the value of a ``# key = value`` metadata line."""
+    if cell is None or (column == "#" and " = " not in cell):
+        return None
+    try:
+        value = float(cell.split(" = ", 1)[1] if column == "#" else cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def largest_changes(parent: str, change: str) -> dict:
+    """{column: {"abs": ..., "rel": ...}}: the largest absolute change of a changed cell,
+    and the largest relative to the larger of its two magnitudes, over the changed cells
+    (``#``: metadata values) that hold a finite float on both sides."""
+    largest = {}
+    for name, a, b in _compared(parent, change):
+        x, y = _finite(a, name), _finite(b, name)
+        if a == b or x is None or y is None:
+            continue
+        change_abs = abs(y - x)
+        change_rel = change_abs / max(abs(x), abs(y)) if change_abs else 0.0
+        found = largest.setdefault(name, {"abs": 0.0, "rel": 0.0})
+        found["abs"], found["rel"] = max(found["abs"], change_abs), max(found["rel"], change_rel)
+    return largest
 
 
 def differences(parent: dict, change: dict) -> dict:
@@ -136,8 +178,9 @@ def differences(parent: dict, change: dict) -> dict:
         return {}
     found = {"differs": fields}
     if "csv" in fields and parent["csv"] is not None and change["csv"] is not None:
-        found["cells"] = changed_cells(parent["csv"].decode("utf-8", "replace"),
-                                       change["csv"].decode("utf-8", "replace"))
+        texts = [side["csv"].decode("utf-8", "replace") for side in (parent, change)]
+        found["cells"] = changed_cells(*texts)
+        found["largest_change"] = largest_changes(*texts)
     return found
 
 
