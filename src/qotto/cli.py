@@ -164,13 +164,15 @@ def load_cycle_config(path: str | None, overrides: dict) -> tuple[CycleConfig, d
 # --- commands ----------------------------------------------------------------
 
 def _check_scan(args) -> None:
-    """The --t-max and --points bounds shared by the dynamics and witness scans."""
-    if args.t_max <= 0.0:
-        raise ConfigError([f"--t-max must be positive, got {args.t_max}"])
-    if not math.isfinite(args.t_max):
-        raise ConfigError([f"--t-max must be finite, got {args.t_max}"])
+    """The --t-max and --points bounds of the dynamics and witness scans, every fault named."""
+    faults = []
+    if args.t_max <= 0.0 or not math.isfinite(args.t_max):
+        bound = "positive" if args.t_max <= 0.0 else "finite"
+        faults.append(f"--t-max must be {bound}, got {args.t_max}")
     if args.points < 2:
-        raise ConfigError([f"--points must be >= 2, got {args.points}"])
+        faults.append(f"--points must be >= 2, got {args.points}")
+    if faults:
+        raise ConfigError(faults)
 
 
 def run_power_trace(args) -> int:
@@ -197,8 +199,9 @@ def run_witness_scan(args) -> int:
         with np.errstate(over="ignore"):  # intermediate terms overflow near the float maximum
             f, phase, gamma = profile.f(ts), profile.phase(ts), profile.rate(ts)
         # the projected witness is diag(0, (1+g) gamma, (1-g) gamma, 0)
-        # (PRL 105, 050403); cp_divisibility_witness is its 4x4 audit route
-        wmin = np.minimum(np.minimum(0.0, (1.0 + profile.g) * gamma), (1.0 - profile.g) * gamma)
+        # (PRL 105, 050403); cp_divisibility_witness is its 4x4 audit route. For g
+        # in (0, 1], (1-g) gamma lies between 0 and (1+g) gamma, never below both
+        wmin = np.minimum(0.0, (1.0 + profile.g) * gamma)
         flag = np.where(np.isnan(gamma), -1, gamma >= TOL.rate_floor)  # -1: map singular
         table.update({f"f_{name}": f, f"F_{name}": phase, f"gamma_{name}": gamma,
                       f"markovian_flag_{name}": flag, f"witness_min_eig_{name}": wmin})

@@ -13,8 +13,8 @@ The weak-coupling cycle is the same closed form at sin^2 F_h = sin^2 F_c = 1,
 so one routine evaluates both.
 
 The closed-form and oracle routes share one cycle skeleton (``_cycle``), which
-builds the ``CycleReport`` (quenches, entropy productions, stroke energies,
-metrics); the oracle integrates the two contacts numerically. Each numeric field
+builds the ``CycleReport`` (quenches, entropy productions, the chain of stroke energies,
+metrics) from each contact's heat and end state; the oracle integrates them. Each numeric field
 of a ``CycleConfig`` and each entry of a ``CycleReport`` is a float or an ndarray,
 and the skeleton, the closed forms and the law audits work elementwise:
 ``strong_cycle_sweep`` evaluates and audits a whole grid over one swept parameter
@@ -245,7 +245,7 @@ class CycleReport(NamedTuple):
         with np.errstate(all="ignore"):  # quiet, as Python floats: an inf - inf residual is NaN
             scale, ledgers = self.config.omega_h, self.strokes.values()
             strokes = np.max([abs(lg.first_law_residual) for lg in ledgers], axis=0) / scale
-            cycle = abs(self.work_total + self.heat_hot + self.heat_cold) / scale
+            cycle = abs(self.energy_residual) / scale
             sigma = np.min([lg.entropy_production for lg in ledgers], axis=0)
             boundary = np.max([abs(w) for w in self.boundary_works().values()], axis=0) / scale
             engine = self.regime == "engine"
@@ -285,12 +285,14 @@ def _binary_entropy(p):
 def _cycle(c: CycleConfig, hot: tuple, cold: tuple, w_cd, work, sw_h, sw_c) -> CycleReport:
     """The cycle around a hot and a cold contact of thermal weights sw_h and sw_c.
 
-    Each contact is ``(p_end, heat, energy_end, (w_connect, w_disconnect))``:
-    the system population and internal energy it ends with, the heat it takes
-    in and the costs of switching its coupling on and off. ``w_cd`` is the
-    down-quench work. The two quench works are of size omega_h and cancel;
-    their sum loses the relative precision of the net work W0 sin^2 F_h, so a
-    route that knows the net work passes it as ``work`` (None: the sum).
+    Each contact is ``(p_end, heat, (w_connect, w_disconnect))``: the system
+    population it ends with, the heat it takes in and the costs of switching its
+    coupling on and off. It ends coupled, at omega (2 p_end - 1) - w_disconnect, read
+    off the joint state that gives its heat; the nine stroke-boundary energies are
+    stated once and each stroke runs from one to the next, so a contact's first law
+    holds its heat to its population change. ``w_cd`` is the down-quench work. The two
+    quench works are of size omega_h and cancel; their sum loses the relative precision
+    of the net work W0 sin^2 F_h, so a route that knows it passes it as ``work`` (None: the sum).
 
     Each contact starts from the product of a diagonal system state with a
     Gibbs bath qubit, so its entropy production is Delta S_S - beta Q
@@ -304,26 +306,22 @@ def _cycle(c: CycleConfig, hot: tuple, cold: tuple, w_cd, work, sw_h, sw_c) -> C
     """
     wc, wh = c.omega_c, c.omega_h
     g_c, g_h = c.g_c, c.g_h
-    p_c1, q_h, e_c1, (w_con_h, w_dis_h) = hot
-    p_a0, q_c, e_a0, (w_con_c, w_dis_c) = cold
+    p_c1, q_h, (w_con_h, w_dis_h) = hot
+    p_a0, q_c, (w_con_c, w_dis_c) = cold
     w_ab = (wc - wh) * g_c
-    e_b = -wh * g_c
-    e_d = wc * (2.0 * p_c1 - 1.0)
     work = w_ab + w_cd if work is None else work
+    e_b, e_d = -wh * g_c, wc * (2.0 * p_c1 - 1.0)
+    e_c, e_a = wh * (2.0 * p_c1 - 1.0), wc * (2.0 * p_a0 - 1.0)  # after each contact, decoupled
+    energies = (-wc * g_c, e_b, e_b + w_con_h, e_c - w_dis_h, e_c,
+                e_d, e_d + w_con_c, e_a - w_dis_c, e_a)
 
     s_a1, s_c1 = _binary_entropy((1.0 - g_c) / 2.0), _binary_entropy(p_c1)
     sigma_h = np.where(sw_h > 0.0, s_c1 - s_a1 - c.beta_h * q_h, 0.0)
     sigma_c = np.where(sw_c > 0.0, _binary_entropy(p_a0) - s_c1 - c.beta_c * q_c, 0.0)
-    strokes = {
-        "quench_up": EnergyLedger(w_ab, 0.0, -wc * g_c, e_b, 0.0),
-        "connect_hot": EnergyLedger(w_con_h, 0.0, e_b, e_b + w_con_h, 0.0),
-        "hot_contact": EnergyLedger(0.0, q_h, e_b + w_con_h, e_b + w_con_h + q_h, sigma_h),
-        "disconnect_hot": EnergyLedger(w_dis_h, 0.0, e_c1, e_c1 + w_dis_h, 0.0),
-        "quench_down": EnergyLedger(w_cd, 0.0, e_c1 + w_dis_h, e_d + w_dis_h, 0.0),
-        "connect_cold": EnergyLedger(w_con_c, 0.0, e_d, e_d + w_con_c, 0.0),
-        "cold_contact": EnergyLedger(0.0, q_c, e_d + w_con_c, e_d + w_con_c + q_c, sigma_c),
-        "disconnect_cold": EnergyLedger(w_dis_c, 0.0, e_a0, e_a0 + w_dis_c, 0.0),
-    }
+    steps = ((w_ab, 0.0, 0.0), (w_con_h, 0.0, 0.0), (0.0, q_h, sigma_h), (w_dis_h, 0.0, 0.0),
+             (w_cd, 0.0, 0.0), (w_con_c, 0.0, 0.0), (0.0, q_c, sigma_c), (w_dis_c, 0.0, 0.0))
+    strokes = {name: EnergyLedger(w, q, e0, e1, sigma) for name, (w, q, sigma), e0, e1
+               in zip(STROKE_ORDER, steps, energies, energies[1:])}
 
     tau, w0 = c.tau, (wc - wh) * (g_c - g_h)
 
@@ -385,8 +383,8 @@ def _closed_form_cycle(c: CycleConfig, weak: bool = False) -> CycleReport:
         g_c, g_h = c.g_c, c.g_h
         p_c1 = (1.0 - g_h) / 2.0 + 0.5 * (1.0 - sw_h) * (g_h - g_c)
         p_a0 = p_c1 * (1.0 - sw_c) + (1.0 - g_c) / 2.0 * sw_c
-        hot = (p_c1, wh * (g_c - g_h) * sw_h, wh * (2.0 * p_c1 - 1.0), (0.0, -0.0))
-        cold = (p_a0, wc * (g_h - g_c) * sw_h * sw_c, wc * (2.0 * p_a0 - 1.0), (0.0, -0.0))
+        hot = (p_c1, wh * (g_c - g_h) * sw_h, (0.0, -0.0))
+        cold = (p_a0, wc * (g_h - g_c) * sw_h * sw_c, (0.0, -0.0))
         w_cd = (wh - wc) * (g_h - (1.0 - sw_h) * (g_h - g_c))
         return _cycle(c, hot, cold, w_cd, (wc - wh) * (g_c - g_h) * sw_h, sw_h, sw_c)
 
@@ -421,7 +419,6 @@ def strong_cycle_via_oracle(config: CycleConfig) -> CycleReport:
         # any finite surrogate time serves the disconnection cost
         h_sb = coupling_hamiltonian(profile.f(max(tau, ORACLE_T_START, profile.t_min)))
         return (float(linalg.partial_trace_bath(end)[0, 0].real), heat,
-                thermo.internal_energy(end, omega * linalg.SIGMA_Z, h_sb),
                 (0.0, thermo.connect_disconnect_work(h_sb, end, disconnect=True)))
 
     with np.errstate(all="ignore"):

@@ -148,6 +148,18 @@ class TestWitnessScan:
         assert run(["witness", "--t-max", "0", "--points", "100"]) == 1
         assert run(["witness", "--t-max", "2", "--points", "1"]) == 1
 
+    @pytest.mark.parametrize("command", ["witness", "dynamics"])
+    def test_every_scan_argument_fault_is_listed(self, command, capsys):
+        for argv, faults in (
+                (["--t-max", "-1"], ["--t-max must be positive, got -1.0"]),
+                (["--points", "1"], ["--points must be >= 2, got 1"]),
+                (["--t-max", "0", "--points", "1"],
+                 ["--t-max must be positive, got 0.0", "--points must be >= 2, got 1"]),
+                (["--t-max", "nan", "--points", "-3"],
+                 ["--t-max must be finite, got nan", "--points must be >= 2, got -3"])):
+            assert run([command, *argv]) == 1
+            assert capsys.readouterr().err == f"config error: {'; '.join(faults)}\n"
+
 
 class TestPowerTrace:
     def test_markovian_closed_form_and_crossing(self, tmp_path):
@@ -603,6 +615,35 @@ class TestExitCodes:
         assert run([*argv, "--out", str(tmp_path / "failed.csv")]) == 3
         assert capsys.readouterr().err == "audit failure: row 2 (tau_h = 1): boundary_work\n"
         assert (tmp_path / "failed.csv").read_bytes() == (tmp_path / "ok.csv").read_bytes()
+
+    @pytest.fixture(params=["hot", "cold"])
+    def scaled_heat(self, request, monkeypatch):
+        """``cycle._cycle`` with the hot, or the cold, contact's heat scaled by 1 + 1e-6."""
+        real, k = cycle._cycle, ("hot", "cold").index(request.param)
+
+        def scaled(c, *args):
+            contacts = list(args[:2])
+            p_end, heat, *rest = contacts[k]
+            contacts[k] = (p_end, heat * (1.0 + 1e-6), *rest)
+            return real(c, *contacts, *args[2:])
+        monkeypatch.setattr(cycle, "_cycle", scaled)
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["closed-form", "oracle"])
+    def test_a_scaled_heat_fails_the_stroke_first_law(self, scaled_heat, oracle, tmp_path,
+                                                      capsys):
+        assert run(["cycle", *oracle, "--out", str(tmp_path / "c.csv")]) == 3
+        out, err = capsys.readouterr()
+        assert re.search(r"^audit first_law_strokes: FAIL \(", out, re.MULTILINE)
+        assert "first_law_strokes" in err.splitlines()[-1].split(": ")[1].split(", ")
+
+    def test_a_scaled_heat_fails_every_sweep_row(self, scaled_heat, tmp_path, capsys):
+        assert run(["sweep", "--sweep", "tau_c:0.1:5:50", "--out", str(tmp_path / "s.csv")]) == 3
+        _, header, rows = read_csv(tmp_path / "s.csv")
+        valid = [k for k, flag in enumerate(column(header, rows, "valid")) if flag == 1]
+        named = [int(re.match(r"audit failure: row (\d+) ", line).group(1))
+                 for line in capsys.readouterr().err.splitlines()
+                 if "first_law_strokes" in line.split("): ")[1].split(", ")]
+        assert len(valid) == 50 and named == valid
 
     def test_runtime_failure_in_oracle_exits_two(self, tmp_path, capsys, monkeypatch):
         from qotto import cycle as cycle_mod

@@ -237,7 +237,8 @@ class TestStrongCycle:
         report = strong_cycle(config)
         assert report.heat_hot == 0.0
         assert report.heat_cold == 0.0
-        assert math.isnan(report.power)
+        for name in ("power", "kappa", "power0", "kappa0"):
+            assert math.isnan(getattr(report, name)), name
 
     def test_scaling_identities_random(self):
         rng = np.random.default_rng(13)
@@ -759,3 +760,69 @@ class TestStrongCycleSweep:
             warnings.simplefilter("error")
             trace = entropy_trace(config, "hot")
         assert trace.shape == (100,) and np.all(np.isfinite(trace))
+
+
+def _assert_chained(strokes: dict) -> None:
+    """Each stroke starts, bit for bit, at the energy the stroke before it ended with."""
+    for before, after in zip(STROKE_ORDER, STROKE_ORDER[1:]):
+        start = np.asarray(strokes[after].internal_energy_initial, dtype=float)
+        end = np.asarray(strokes[before].internal_energy_final, dtype=float)
+        assert start.tobytes() == end.tobytes(), after
+
+
+class TestStrokeChain:
+    """The nine stroke-boundary energies form one chain on every route."""
+
+    def test_closed_form_routes(self):
+        rng = np.random.default_rng(41)
+        configs = [build_config(**ENGINE, tau_h=2.0, tau_c=2.0),
+                   build_config(**FRIDGE, tau_h=0.7, tau_c=0.0, kind_h="nonmarkovian")]
+        for config in configs + [random_config(rng) for _ in range(20)]:
+            _assert_chained(strong_cycle(config).strokes)
+            _assert_chained(weak_cycle(config).strokes)
+
+    @pytest.mark.parametrize("kind", ["markovian", "nonmarkovian"])
+    def test_oracle_route(self, kind):
+        for params in (ENGINE, FRIDGE):
+            _assert_chained(strong_cycle_via_oracle(
+                build_config(**params, tau_h=1.3, tau_c=0.9, kind_h=kind)).strokes)
+
+    @pytest.mark.parametrize("axis, lo, hi", [("tau_c", 0.1, 5.0), ("tau_h", -1.0, 3.0),
+                                              ("g_h", 0.0, 1.2), ("omega_c", 0.5, 2.5)])
+    def test_sweep_columns(self, axis, lo, hi):
+        sweep = strong_cycle_sweep(build_config(**ENGINE, tau_h=2.0, tau_c=2.0), axis,
+                                   np.linspace(lo, hi, 50))
+        assert sweep.valid.any()
+        _assert_chained(sweep.report.strokes)
+
+
+def _baseline_rates(c: CycleConfig) -> tuple:
+    """power0 = -W0 / tau and kappa0 = Q_c0 / tau, the weak cycle's rates."""
+    return (-(c.omega_c - c.omega_h) * (c.g_c - c.g_h) / c.tau,
+            c.omega_c * (c.g_h - c.g_c) / c.tau)
+
+
+class TestBaselineRates:
+    def test_one_point_routes(self):
+        rng = np.random.default_rng(43)
+        for config in [build_config(**FRIDGE, tau_h=2.0, tau_c=2.0, tau_u1=0.5)] + \
+                [random_config(rng) for _ in range(20)]:
+            power0, kappa0 = _baseline_rates(config)
+            for report in (strong_cycle(config), weak_cycle(config)):
+                assert (_bits(report.power0), _bits(report.kappa0)) == \
+                    (_bits(power0), _bits(kappa0))
+
+    @pytest.mark.parametrize("axis, lo, hi", [("tau_h", -1.0, 4.0), ("tau_c", -1.0, 4.0),
+                                              ("g_h", 0.0, 1.2), ("g_c", 0.3, 1.0),
+                                              ("omega_h", 0.5, 4.0), ("omega_c", 0.0, 2.5),
+                                              ("beta_h", 0.0, 1.5), ("beta_c", 0.1, 3.0)])
+    def test_every_valid_sweep_row(self, axis, lo, hi):
+        sweep = strong_cycle_sweep(build_config(**ENGINE, tau_h=2.0, tau_c=1.0, tau_u2=0.25),
+                                   axis, np.linspace(lo, hi, 40))
+        valid, report = sweep.valid, sweep.report
+        assert valid.any() and not valid.all()
+        with np.errstate(all="ignore"):
+            expected = _baseline_rates(report.config)
+        for column, value in zip((report.power0, report.kappa0), expected):
+            assert column[valid].tobytes() == value[valid].tobytes()
+            assert np.isnan(column[~valid]).all()

@@ -41,9 +41,32 @@ def test_differences_name_each_field():
     assert same_output.differences(_outcome(), _outcome(exit=1, csv=None)) == \
         {"differs": ["exit", "csv"]}
     assert same_output.differences(_outcome(stderr=b"x"), _outcome(
-        csv=BASE.replace("0.5", "0.625"))) == {"differs": ["stderr", "csv"], "cells": {"W": 1},
+        csv=BASE.replace("0.5", "0.625"))) == {"differs": ["stderr", "csv"],
+                                               "lines": {"stderr": [["x", None]]},
+                                               "cells": {"W": 1},
                                                "largest_change": {"W": {"abs": 0.125,
                                                                         "rel": 0.2}}}
+
+
+def test_differing_streams_show_their_first_changed_lines():
+    summary = b"regime: engine\naudit first_law_strokes: pass (2.776e-17)\naudit carnot: pass\n"
+    change = summary.replace(b"2.776e-17", b"1.388e-17")
+    assert same_output.differences(_outcome(stdout=summary, stderr=b"same\n"),
+                                   _outcome(stdout=change, stderr=b"same\n")) == {
+        "differs": ["stdout"], "lines": {"stdout": [
+            ["audit first_law_strokes: pass (2.776e-17)",
+             "audit first_law_strokes: pass (1.388e-17)"]]}}
+    # lines pair in order; a line only one side has pairs with None
+    assert same_output.changed_lines(b"a\nb\n", b"a\nc\nd\n") == [["b", "c"], [None, "d"]]
+    # at most LINE_PAIRS pairs per stream, the first ones
+    many = [f"row {k}" for k in range(3 * same_output.LINE_PAIRS)]
+    parent, changed = "\n".join(many).encode(), "\n".join(m + "!" for m in many).encode()
+    assert same_output.changed_lines(parent, changed) == \
+        [[m, m + "!"] for m in many[:same_output.LINE_PAIRS]]
+    assert same_output.differences(_outcome(stdout=parent, stderr=parent),
+                                   _outcome(stdout=changed, stderr=b""))["lines"] == {
+        "stdout": [[m, m + "!"] for m in many[:same_output.LINE_PAIRS]],
+        "stderr": [[m, None] for m in many[:same_output.LINE_PAIRS]]}
 
 
 def test_largest_change_reads_float_cells_and_metadata_values():

@@ -14,9 +14,11 @@ interpreter with ``PYTHONPATH=<checkout>/src``:
 The commands are the parent's (its plans, README and workflow): a command
 that only the change has has no parent output to compare with. For each
 command the exit code, stdout, stderr and the bytes of the CSV file it writes
-are compared. For each CSV that differs, the changed cells are counted per
-column, and among those that hold a finite float on both sides the largest
-absolute and relative change is reported, also for ``#`` metadata values.
+are compared. For stdout or stderr that differs, the first few changed line
+pairs (parent, change) are shown. For each CSV that differs, the changed
+cells are counted per column, and among those that hold a finite float on
+both sides the largest absolute and relative change is reported, also for
+``#`` metadata values.
 One JSON summary goes to stdout; the exit code is 1 on any difference.
 ``--change`` defaults to the checkout this file belongs to.
 """
@@ -41,6 +43,7 @@ import repo_commands
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 COMMAND_TIMEOUT_S = 300  # the slowest plan operation takes a few seconds
+LINE_PAIRS = 5  # changed stdout or stderr lines shown per stream
 
 
 def _load(path: Path):
@@ -171,12 +174,23 @@ def largest_changes(parent: str, change: str) -> dict:
     return largest
 
 
+def changed_lines(parent: bytes, change: bytes) -> list[list]:
+    """The first ``LINE_PAIRS`` [parent line, change line] pairs that differ between two
+    streams, paired in order; a line that only one stream has pairs with None."""
+    lines = [side.decode("utf-8", "replace").splitlines() for side in (parent, change)]
+    return [[a, b] for a, b in zip_longest(*lines) if a != b][:LINE_PAIRS]
+
+
 def differences(parent: dict, change: dict) -> dict:
     """What differs between two outcomes of one command; empty when nothing does."""
     fields = [key for key in ("exit", "stdout", "stderr", "csv") if parent[key] != change[key]]
     if not fields:
         return {}
     found = {"differs": fields}
+    streams = {key: changed_lines(parent[key], change[key])
+               for key in ("stdout", "stderr") if key in fields}
+    if streams:
+        found["lines"] = streams
     if "csv" in fields and parent["csv"] is not None and change["csv"] is not None:
         texts = [side["csv"].decode("utf-8", "replace") for side in (parent, change)]
         found["cells"] = changed_cells(*texts)
