@@ -9,7 +9,10 @@ Commands
 
 ``dynamics``, ``witness`` and ``sweep`` evaluate the closed forms once, on
 their whole grid of times or parameter values. Every command hands the CSV
-writer its table as named columns, one kind of cell per column.
+writer its table as named columns, one kind of cell per column. A column whose
+cells are all written alike (floats compared by their bits) is formatted once
+and stands in the table's row format as literal text; only the other columns
+are formatted row by row, and the rows are written in blocks of joined text.
 
 Output is CSV with '#'-prefixed metadata lines, decimal serialization at 17
 significant digits. Exit codes: 0 success, 1 usage/config error, 2
@@ -81,16 +84,46 @@ def _resolve_out(path: str | None):
     return path
 
 
+_BLOCK_ROWS = 512  # rows joined into one write
+
+
+def _constant(column, fmt: str) -> bool:
+    """Whether every cell of a non-empty column is written as its first: floats are
+    compared by their bits, so 0.0 and -0.0 stay apart, and other cells by type and value."""
+    if isinstance(column, np.ndarray) and not column.dtype.hasobject:
+        raw = column.tobytes()
+    elif fmt == "%.17g":  # '%.17g' writes float(cell)
+        raw = np.array(column, dtype=float).tobytes()
+    else:
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        return cells.count(cells[0]) == len(cells) and len(set(map(type, cells))) == 1
+    return raw == raw[:len(raw) // len(column)] * len(column)
+
+
 def _write_csv(path: str | None, table: dict, metadata: dict) -> None:
     """Write the metadata as '#' lines, then ``table``: header name -> column (an
-    ndarray or a sequence), equal-length columns of one kind of cell each."""
-    columns, formats = [], []
+    ndarray or a sequence), equal-length columns of one kind of cell each.
+
+    A column whose cells are all written alike (``_constant``) is formatted once and
+    stands in the row format as literal text, so only the varying columns are formatted
+    on each row; the rows are joined and written in blocks of ``_BLOCK_ROWS``."""
+    import itertools
+
+    count, columns, formats = 0, [], []
     for column in table.values():
-        cells = column.tolist() if isinstance(column, np.ndarray) else column
-        kind = next(iter(cells), None)
-        columns.append(list(map(_quote, cells)) if isinstance(kind, str) else cells)
-        formats.append("%.17g" if isinstance(kind, float) else "%s")
+        count, is_array = len(column), isinstance(column, np.ndarray)
+        kind = (column.item(0) if is_array else column[0]) if count else None
+        fmt = "%.17g" if isinstance(kind, float) else "%s"
+        quote = _quote if isinstance(kind, str) else None
+        if count and _constant(column, fmt):
+            formats.append((fmt % (quote(kind) if quote else kind,)).replace("%", "%%"))
+        else:
+            cells = column.tolist() if is_array else column
+            columns.append(list(map(quote, cells)) if quote else cells)
+            formats.append(fmt)
     row_format = ",".join(formats) + "\n"
+    rows = (map(row_format.__mod__, zip(*columns)) if columns
+            else itertools.repeat(row_format % (), count))
 
     def emit(stream):
         stream.write(f"# qotto {__version__}\n")
@@ -99,7 +132,8 @@ def _write_csv(path: str | None, table: dict, metadata: dict) -> None:
             text = _fmt(value).replace("\r", "\\r").replace("\n", "\\n")
             stream.write(f"# {key} = {text}\n")
         stream.write(",".join(table) + "\n")
-        stream.writelines(row_format % row for row in zip(*columns))
+        while block := "".join(itertools.islice(rows, _BLOCK_ROWS)):
+            stream.write(block)
 
     if path is None:
         emit(sys.stdout)
@@ -305,10 +339,10 @@ def run_sweep(args) -> int:
         count = int(count)
     except ValueError:
         raise ConfigError([f"--sweep count must be an integer, got '{count}'"])
-    if count < 1 or (count > 1 and hi <= lo):
-        raise ConfigError([f"degenerate sweep range '{args.sweep}'"])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError([f"--sweep bounds must be finite, got '{args.sweep}'"])
+    if count < 1 or (count > 1 and hi <= lo):
+        raise ConfigError([f"degenerate sweep range '{args.sweep}'"])
 
     base, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
     sweep = strong_cycle_sweep(base, axis, np.linspace(lo, hi, count))

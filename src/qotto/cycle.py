@@ -477,7 +477,10 @@ class CycleSweep(NamedTuple):
     ``report`` is one ``CycleReport`` of columns over every row, whose ``config`` is
     the swept config of all rows (with the base's profiles): ``report.law_audits()``
     audits every row at once. A row that is not ``valid`` holds NaN in the report
-    (regime "") and its messages in ``errors``; valid rows hold "".
+    (regime "") and its messages in ``errors``; valid rows hold "". Every report entry
+    is a full-length column: only a sweep with a rejected row scatters the valid rows'
+    columns onto the grid; with every row valid they pass through as computed, and an
+    entry that does not vary along the axis is repeated onto every row.
     """
 
     values: np.ndarray
@@ -511,6 +514,10 @@ def strong_cycle_sweep(base: CycleConfig, axis: str, values) -> CycleSweep:
         out[valid] = column
         return out
 
+    def spread(column):  # every row valid: a column as it is, a 0-d entry on every row
+        column = np.asarray(column)
+        return column if column.ndim else np.full(values.shape, column)
+
     return CycleSweep(values=values, valid=valid, errors=["; ".join(row) for row in faults],
-                      report=_entries(report, scatter, config=swept))
+                      report=_entries(report, spread if valid.all() else scatter, config=swept))
 

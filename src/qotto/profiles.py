@@ -253,7 +253,10 @@ def load_tabulated(path, g: float) -> TabulatedProfile:
     """Read a two-column whitespace-separated (t, f) file; '#' starts a comment."""
     with warnings.catch_warnings():  # an empty table is reported below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except ValueError as exc:  # a cell that is no number, or a ragged row
+            raise ValueError(f"tabulated profile {path}: {exc}") from None
     if data.size == 0:
         raise ValueError(f"tabulated profile {path} holds no samples")
     if data.shape[1] != 2:

@@ -445,20 +445,28 @@ _CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, math.nan, math.inf, -math.inf]))
 # one strategy per kind of column the writer takes
 _CSV_KINDS = (_CSV_FLOATS, _CSV_FLOATS.map(np.float64), st.integers(-10**20, 10**20),
-              st.booleans(), st.one_of(st.text(max_size=8),
-                                       st.sampled_from(["a,b", 'say "hi"', "x\ny", "\r", ""])))
+              st.booleans(), st.one_of(st.text(max_size=8), st.sampled_from(
+                  ["a,b", 'say "hi"', "x\ny", "\r", "", "%", "%s", "100%%", '%,"\n'])))
 
 
 @st.composite
 def _csv_tables(draw) -> dict:
-    """1-8 equal-length columns of one kind each; np.float64 cells in a list or an ndarray."""
-    length = draw(st.integers(0, 4))
+    """1-8 equal-length columns of one kind each, some or all of them one drawn value
+    repeated, maybe but for the last cell; np.float64 cells, and repeated values, in a
+    list or an ndarray."""
+    length = draw(st.integers(0, 6))
+    all_constant = draw(st.booleans())
     table = {}
     for k, kind in enumerate(draw(st.lists(st.sampled_from(_CSV_KINDS), min_size=1, max_size=8))):
-        cells = draw(st.lists(kind, min_size=length, max_size=length))
-        if cells and type(cells[0]) is np.float64 and draw(st.booleans()):
-            cells = np.array(cells)
-        table[f"h{k}"] = cells
+        if all_constant or draw(st.booleans()):
+            cells = [draw(kind)] * length
+            if cells and not all_constant and draw(st.booleans()):
+                cells[-1] = draw(kind)
+            as_array = draw(st.booleans())
+        else:
+            cells = draw(st.lists(kind, min_size=length, max_size=length))
+            as_array = bool(cells) and type(cells[0]) is np.float64 and draw(st.booleans())
+        table[f"h{k}"] = np.array(cells) if as_array else cells
     return table
 
 
@@ -481,6 +489,18 @@ class TestCsvCells:
         expected = f"# qotto {__version__}\n# k = 1.5\n{','.join(table)}\n" + "".join(
             ",".join(map(_reference_cell, row)) + "\n" for row in zip(*table.values()))
         assert out.getvalue() == expected
+
+    @pytest.mark.parametrize("column", [
+        [0.0, -0.0], np.array([-0.0, -0.0, 0.0]), [math.nan, -math.nan], [1, True],
+        [True, 1], np.array(["a", "a", "a,"]), ["%", "%", "%%"], range(1)], ids=repr)
+    def test_cells_equal_but_written_apart_stay_apart(self, column):
+        # == holds between the cells of each column but the first, yet they are written
+        # apart; a one-row column is constant
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_csv(None, {"c": column, "k": [2.5] * len(column)}, {})
+        assert out.getvalue().splitlines()[2:] == [
+            f"{_reference_cell(cell)},2.5" for cell in column]
 
 
 def _dynamics_columns() -> dict:
@@ -729,6 +749,7 @@ class TestExitCodes:
         ["dynamics", "--t-max", "nan"], ["dynamics", "--t-max", "inf"],
         ["witness", "--t-max", "nan"], ["witness", "--t-max", "inf"],
         ["sweep", "--sweep", "tau_h:nan:1:3"], ["sweep", "--sweep", "tau_h:0:inf:3"],
+        ["sweep", "--sweep", "tau_h:inf:1:2"], ["sweep", "--sweep", "tau_h:1:-inf:2"],
     ], ids=" ".join)
     def test_non_finite_numbers_are_config_errors(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
@@ -920,14 +941,21 @@ class TestConfigFaults:
         ("# t f\n# none yet\n", "tabulated profile {path} holds no samples"),
         ("0.1 1 2\n0.2 1 2\n", "expected two columns (t, f) in {path}, got 3"),
         ("0.1 1\n0.2 1\n", "t = 2.0 outside tabulated domain [0.1, 0.2]"),
+        # numpy's own wording follows a message that ends in ": "
+        ("0.1 1\n0.2 abc\n", "tabulated profile {path}: "),
+        ("0.1 1\n0.2 1\n0.3\n", "tabulated profile {path}: "),
     ], ids=["nan-time", "inf-value", "empty", "comments-only", "three-columns",
-            "tau-past-table"])
+            "tau-past-table", "non-numeric-cell", "ragged-row"])
     def test_table_faults(self, text, message, tmp_path, capsys):
         path = tmp_path / "table.txt"
         path.write_text(text)
         argv = ["cycle", "--set", f"profile_h=tabulated:{path}", "--out", str(tmp_path / "c.csv")]
         assert run(argv) == 1
-        assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+        err, expected = capsys.readouterr().err, f"config error: {message.format(path=path)}"
+        if message.endswith(": "):
+            assert err.startswith(expected) and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == expected + "\n"
         assert not (tmp_path / "c.csv").exists()
 
     def test_table_spec_without_path(self, tmp_path, capsys):

@@ -738,6 +738,31 @@ class TestStrongCycleSweep:
             with pytest.raises(ConfigError, match=f"^{re.escape(sweep.errors[2])}$"):
                 route(replace(config, tau_h=6.000000000000001))
 
+    @pytest.mark.parametrize("axis, values", [
+        ("tau_h", [0.5, 1.0, 2.0, 3.5]), ("g_c", [0.3, 0.5, 0.7]),
+        ("omega_h", [1.5, 2.0, 4.0])])
+    def test_entries_are_full_length_columns(self, axis, values):
+        # an all-valid sweep passes its columns through and repeats the entries that do
+        # not vary along the axis; one with rejected rows scatters the same rows
+        base = build_config(**ENGINE, tau_h=2.0, tau_c=1.0)
+        rejected = {"tau_h": -1.0, "g_c": 1.5, "omega_h": 0.5}[axis]
+        grid = np.array([rejected, *values, rejected])
+        every, some = (strong_cycle_sweep(base, axis, v) for v in (values, grid))
+        assert every.valid.all() and some.valid.tolist() == [False, *[True] * len(values), False]
+
+        def entries(report):
+            yield from ((f, getattr(report, f)) for f in report._fields
+                        if f not in ("config", "strokes"))
+            yield from ((f"{name}.{f}", column) for name, ledger in report.strokes.items()
+                        for f, column in zip(EnergyLedger._fields, ledger))
+
+        for (field, column), (_, scattered) in zip(entries(every.report), entries(some.report)):
+            assert column.shape == (len(values),) and scattered.shape == grid.shape, field
+            assert column.dtype == scattered.dtype, field
+            assert column.tobytes() == scattered[1:-1].tobytes(), field
+            ends = scattered[[0, -1]]
+            assert (ends == "").all() if ends.dtype.kind == "U" else np.isnan(ends).all(), field
+
     def test_unknown_axis_and_invalid_base(self):
         config = build_config(**ENGINE, tau_h=1.0, tau_c=1.0)
         with pytest.raises(ConfigError, match="unknown sweep axis 'volume'"):
