@@ -328,21 +328,27 @@ def run_sweep(args) -> int:
     parts = args.sweep.split(":")
     if len(parts) != 4:
         raise ConfigError([f"--sweep expects AXIS:LO:HI:N, got '{args.sweep}'"])
-    axis, lo, hi, count = parts[0], parts[1], parts[2], parts[3]
-    if axis not in SWEEP_AXES:
-        raise ConfigError([f"sweep axis must be one of {', '.join(SWEEP_AXES)}, got '{axis}'"])
+    # every fault of the spec, in one error; a check that needs a value that an earlier
+    # fault left undefined (None) is skipped, and so is the range of infinite bounds
+    axis, lo, hi, count = parts
+    faults = [] if axis in SWEEP_AXES else [
+        f"sweep axis must be one of {', '.join(SWEEP_AXES)}, got '{axis}'"]
     try:
         lo, hi = float(lo), float(hi)
     except ValueError:
-        raise ConfigError([f"--sweep bounds must be numeric, got '{args.sweep}'"])
+        lo = hi = None
+        faults.append(f"--sweep bounds must be numeric, got '{args.sweep}'")
     try:
         count = int(count)
     except ValueError:
-        raise ConfigError([f"--sweep count must be an integer, got '{count}'"])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError([f"--sweep bounds must be finite, got '{args.sweep}'"])
-    if count < 1 or (count > 1 and hi <= lo):
-        raise ConfigError([f"degenerate sweep range '{args.sweep}'"])
+        faults.append(f"--sweep count must be an integer, got '{count}'")
+        count = None
+    if lo is not None and not (math.isfinite(lo) and math.isfinite(hi)):
+        faults.append(f"--sweep bounds must be finite, got '{args.sweep}'")
+    elif None not in (lo, count) and (count < 1 or (count > 1 and hi <= lo)):
+        faults.append(f"degenerate sweep range '{args.sweep}'")
+    if faults:
+        raise ConfigError(faults)
 
     base, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
     sweep = strong_cycle_sweep(base, axis, np.linspace(lo, hi, count))

@@ -235,17 +235,20 @@ class CycleReport(NamedTuple):
     def law_audits(self) -> dict:
         """name -> (value, passed): a float and a bool, or for a sweep two columns.
 
-        Tolerances come from the shared record. The energy audits (first law,
-        boundary work) judge their residual in units of omega_h, which bounds every
-        stroke energy, so a verdict does not depend on the unit of energy; the
-        entropy and Carnot audits are dimensionless. ``first_law_cycle`` applies where
-        the cold contact thermalizes fully, ``carnot`` to an engine or a refrigerator;
-        an audit that applies to no row is left out, and a row it skips holds NaN and passes.
+        Tolerances come from the shared record. The energy audits (first law, the net
+        work against the sum of the two quench works, boundary work) judge their residual
+        in units of omega_h, which bounds every stroke energy, so a verdict does not depend
+        on the unit of energy; the entropy and Carnot audits are dimensionless.
+        ``first_law_cycle`` applies where the cold contact thermalizes fully, ``carnot`` to
+        an engine or a refrigerator; an audit that applies to no row is left out, and a row
+        it skips holds NaN and passes.
         """
         with np.errstate(all="ignore"):  # quiet, as Python floats: an inf - inf residual is NaN
             scale, ledgers = self.config.omega_h, self.strokes.values()
             strokes = np.max([abs(lg.first_law_residual) for lg in ledgers], axis=0) / scale
             cycle = abs(self.energy_residual) / scale
+            quenches = self.strokes["quench_up"].work + self.strokes["quench_down"].work
+            identity = abs(self.work_total - quenches) / scale
             sigma = np.min([lg.entropy_production for lg in ledgers], axis=0)
             boundary = np.max([abs(w) for w in self.boundary_works().values()], axis=0) / scale
             engine = self.regime == "engine"
@@ -255,6 +258,7 @@ class CycleReport(NamedTuple):
                 "first_law_strokes": (strokes, strokes <= TOL.first_law, True),
                 "first_law_cycle": (cycle, cycle <= TOL.first_law,
                                     self.thermal_weight_cold >= 1.0 - TOL.full_thermalization),
+                "cycle_identity": (identity, identity <= TOL.cycle_identity, True),
                 "entropy_production": (sigma, sigma >= TOL.entropy_production_floor, True),
                 "boundary_work": (boundary, boundary <= TOL.boundary_work, True),
                 "carnot": (carnot, carnot <= bound, engine | (self.regime == "refrigerator"))}

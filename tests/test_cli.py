@@ -665,6 +665,31 @@ class TestExitCodes:
                  if "first_law_strokes" in line.split("): ")[1].split(", ")]
         assert len(valid) == 50 and named == valid
 
+    @pytest.fixture
+    def scaled_work(self, monkeypatch):
+        """``cycle._cycle`` with the closed form's net work scaled by 1 + 1e-6."""
+        real = cycle._cycle
+
+        def scaled(c, hot, cold, w_cd, work, *rest):
+            return real(c, hot, cold, w_cd, work * (1.0 + 1e-6), *rest)
+        monkeypatch.setattr(cycle, "_cycle", scaled)
+
+    def test_a_scaled_work_fails_the_cycle_identity(self, scaled_work, tmp_path, capsys):
+        assert run(["cycle", "--out", str(tmp_path / "c.csv")]) == 3
+        out, err = capsys.readouterr()
+        assert re.search(r"^audit cycle_identity: FAIL \(", out, re.MULTILINE)
+        assert err == "audit failure: cycle_identity\n"
+
+    @pytest.mark.parametrize("spec", ["tau_h:0.1:5:50", "tau_c:0.1:5:50", "omega_h:1.5:4:50"])
+    def test_a_scaled_work_fails_every_sweep_row(self, scaled_work, spec, tmp_path, capsys):
+        assert run(["sweep", "--sweep", spec, "--out", str(tmp_path / "s.csv")]) == 3
+        _, header, rows = read_csv(tmp_path / "s.csv")
+        assert column(header, rows, "valid") == [1] * 50
+        named = [int(re.match(r"audit failure: row (\d+) ", line).group(1))
+                 for line in capsys.readouterr().err.splitlines()
+                 if "cycle_identity" in line.split("): ")[1].split(", ")]
+        assert named == list(range(50))
+
     def test_runtime_failure_in_oracle_exits_two(self, tmp_path, capsys, monkeypatch):
         from qotto import cycle as cycle_mod
         from qotto.errors import IntegrationFailureError
@@ -731,6 +756,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"config error: --sweep count must be an integer, got '{count}'\n")
 
+    @pytest.mark.parametrize("spec, faults", [
+        ("foo:a:b:x", ["sweep axis must be one of tau_h, tau_c, g_h, g_c, omega_h, omega_c, "
+                       "beta_h, beta_c, got 'foo'", "--sweep bounds must be numeric, got "
+                       "'foo:a:b:x'", "--sweep count must be an integer, got 'x'"]),
+        ("tau_h:a:1:2.5", ["--sweep bounds must be numeric, got 'tau_h:a:1:2.5'",
+                           "--sweep count must be an integer, got '2.5'"]),
+        ("foo:1:0:2", ["sweep axis must be one of tau_h, tau_c, g_h, g_c, omega_h, omega_c, "
+                       "beta_h, beta_c, got 'foo'", "degenerate sweep range 'foo:1:0:2'"]),
+        ("tau_h:inf:1:x", ["--sweep count must be an integer, got 'x'",
+                           "--sweep bounds must be finite, got 'tau_h:inf:1:x'"]),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_every_sweep_spec_fault_is_named(self, spec, faults, tmp_path, capsys):
+        # a check that needs a value an earlier fault left undefined is skipped: no range
+        # check on non-numeric or infinite bounds, or with a non-integer count
+        assert run(["sweep", "--sweep", spec, "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == f"config error: {'; '.join(faults)}\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_oracle_answers_cold_bath(self, tmp_path):
         # the cold bath's upper level rounds to zero: the oracle's entropy
         # production must not go through the 4x4 relative entropy
@@ -775,10 +818,12 @@ class TestExitCodes:
     def test_no_command_imports_scipy(self, tmp_path):
         # a None entry in sys.modules makes any import of scipy raise ImportError at once
         script = f"""
-import sys
+import importlib, pkgutil, sys
 sys.modules["scipy"] = None
-from qotto import *
-import qotto.cli
+import qotto
+for module in pkgutil.iter_modules(qotto.__path__):
+    if module.name != "__main__":  # importing __main__ runs the CLI
+        importlib.import_module("qotto." + module.name)
 out = {str(tmp_path / "x.csv")!r}
 for argv in (["dynamics"], ["witness", "--points", "20"],
              ["sweep", "--sweep", "tau_c:0.1:2:5"], ["cycle"], ["cycle", "--oracle"],
