@@ -10,9 +10,23 @@ Commands
 ``dynamics``, ``witness`` and ``sweep`` evaluate the closed forms once, on
 their whole grid of times or parameter values. Every command hands the CSV
 writer its table as named columns, one kind of cell per column. A column whose
-cells are all written alike (floats compared by their bits) is formatted once
-and stands in the table's row format as literal text; only the other columns
-are formatted row by row, and the rows are written in blocks of joined text.
+cells are all written alike (floats compared by their bits) is formatted once and
+stands in each row as literal text. The other columns take one of two routes,
+chosen by the table's size; both write the same bytes, in blocks of rows:
+
+* a table with fewer than ``_MATRIX_FLOATS`` varying float cells, such as a
+  ``cycle`` table, is formatted row by row, one '%' format a row;
+* a larger one, such as a ``witness`` scan or a sweep, takes the block route:
+  each block is one byte matrix whose float cells, and integer cells within
+  2^53, come from one vectorized ``fmt17.render`` call, and whose other cells
+  are formatted and encoded one by one; the padding is then dropped at once.
+
+``fmt17`` is exact, not close. For 1e-11 <= |x| < 1e15 it forms the product of
+the float's 53-bit significand and a power of five, up to 116 bits, exactly in
+two uint64 limbs, shifts it right and rounds half to even on the exact
+remainder, as CPython's '%.17g' rounds; every other cell (zeros, subnormals,
+NaN, infinities and the rest) goes through '%.17g' itself, which is also the
+reference the tests compare the kernel with.
 
 Output is CSV with '#'-prefixed metadata lines, decimal serialization at 17
 significant digits. Exit codes: 0 success, 1 usage/config error, 2
@@ -85,6 +99,10 @@ def _resolve_out(path: str | None):
 
 
 _BLOCK_ROWS = 512  # rows joined into one write
+# varying float cells from which a table is written as byte matrices (_matrix_blocks).
+# In a warm process the block route wins from 400-700 float cells on, by table shape; a
+# fresh one also pays about 5 ms to import fmt17 and build its tables once
+_MATRIX_FLOATS = 1000
 
 
 def _constant(column, fmt: str) -> bool:
@@ -100,30 +118,94 @@ def _constant(column, fmt: str) -> bool:
     return raw == raw[:len(raw) // len(column)] * len(column)
 
 
+def _row_blocks(literals: list, varying: list, count: int):
+    """The rows in blocks of ``_BLOCK_ROWS``, each row from one '%' format."""
+    import itertools
+
+    row_format = "".join(text.replace("%", "%%") + fmt
+                         for text, (fmt, _, _) in zip(literals, varying))
+    row_format += literals[-1].replace("%", "%%")
+    columns = []
+    for _, quote, column in varying:
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        columns.append(list(map(quote, cells)) if quote else cells)
+    rows = (map(row_format.__mod__, zip(*columns)) if columns
+            else itertools.repeat(row_format % (), count))
+    while block := "".join(itertools.islice(rows, _BLOCK_ROWS)):
+        yield block
+
+
+def _kernel_cells(fmt: str, column) -> np.ndarray | None:
+    """The column as float64 if ``fmt17`` writes its cells: float cells, and the integers
+    of an ndarray or a range within 2^53, which '%.17g' writes as '%s' does; else None."""
+    if fmt == "%.17g":
+        return np.asarray(column, np.float64)
+    if isinstance(column, range):
+        column = np.arange(column.start, column.stop, column.step)
+    if (isinstance(column, np.ndarray) and column.dtype.kind in "iu"
+            and -2**53 < column.min() and column.max() < 2**53):
+        return column.astype(np.float64)
+    return None
+
+
+def _matrix_blocks(literals: list, varying: list, count: int):
+    """The rows in blocks of ``_BLOCK_ROWS``, each block one byte matrix: a row holds the
+    literal text around the varying cells and a slot for each cell, padded with
+    ``fmt17.DROP``, and the block's bytes are written without the padding. The cells of
+    ``_kernel_cells`` come from ``fmt17.render``, in one call a block; the others are
+    formatted, quoted and encoded as UTF-8, which never holds ``DROP``, and padded past
+    their length, so a NUL inside a string stays."""
+    from . import fmt17
+
+    kernel = [_kernel_cells(fmt, column) for fmt, _, column in varying]
+    fixed = [np.frombuffer(text.encode(), np.uint8) for text in literals]
+    fixed = [np.broadcast_to(text, (_BLOCK_ROWS, text.size)) for text in fixed]
+    drop = bytes([fmt17.DROP])
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = min(count - start, _BLOCK_ROWS)
+        block = np.stack([floats[start:start + rows] for floats in kernel if floats is not None])
+        slots = iter(fmt17.render(block).reshape(-1, rows, fmt17.WIDTH))
+        parts = []
+        for literal, floats, (fmt, quote, column) in zip(fixed, kernel, varying):
+            parts.append(literal[:rows])
+            if floats is not None:
+                parts.append(next(slots))
+                continue
+            cells = column[start:start + rows]
+            cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+            encoded = [(fmt % (quote(cell) if quote else cell,)).encode() for cell in cells]
+            text = np.array(encoded).view(np.uint8).reshape(rows, -1)
+            lengths = np.fromiter(map(len, encoded), np.intp, rows)
+            parts.append(np.where(np.arange(text.shape[1]) < lengths[:, None], text,
+                                  np.uint8(fmt17.DROP)))
+        parts.append(fixed[-1][:rows])
+        yield np.concatenate(parts, axis=1).tobytes().translate(None, drop).decode()
+
+
 def _write_csv(path: str | None, table: dict, metadata: dict) -> None:
     """Write the metadata as '#' lines, then ``table``: header name -> column (an
     ndarray or a sequence), equal-length columns of one kind of cell each.
 
     A column whose cells are all written alike (``_constant``) is formatted once and
-    stands in the row format as literal text, so only the varying columns are formatted
-    on each row; the rows are joined and written in blocks of ``_BLOCK_ROWS``."""
-    import itertools
-
-    count, columns, formats = 0, [], []
-    for column in table.values():
+    stands in each row as literal text, so only the varying columns are formatted on each
+    row. A table with at least ``_MATRIX_FLOATS`` varying float cells is written as byte
+    matrices (``_matrix_blocks``), a smaller one row by row (``_row_blocks``); both write
+    the same bytes, in blocks of ``_BLOCK_ROWS`` rows."""
+    count, literals, varying = 0, [""], []
+    for position, column in enumerate(table.values(), 1):
         count, is_array = len(column), isinstance(column, np.ndarray)
         kind = (column.item(0) if is_array else column[0]) if count else None
         fmt = "%.17g" if isinstance(kind, float) else "%s"
         quote = _quote if isinstance(kind, str) else None
+        end = "," if position < len(table) else "\n"
         if count and _constant(column, fmt):
-            formats.append((fmt % (quote(kind) if quote else kind,)).replace("%", "%%"))
+            literals[-1] += fmt % (quote(kind) if quote else kind,) + end
         else:
-            cells = column.tolist() if is_array else column
-            columns.append(list(map(quote, cells)) if quote else cells)
-            formats.append(fmt)
-    row_format = ",".join(formats) + "\n"
-    rows = (map(row_format.__mod__, zip(*columns)) if columns
-            else itertools.repeat(row_format % (), count))
+            varying.append((fmt, quote, column))
+            literals.append(end)
+    floats = count * sum(fmt == "%.17g" for fmt, _, _ in varying)
+    blocks = (_matrix_blocks if floats >= _MATRIX_FLOATS else _row_blocks)(
+        literals, varying, count)
 
     def emit(stream):
         stream.write(f"# qotto {__version__}\n")
@@ -132,7 +214,7 @@ def _write_csv(path: str | None, table: dict, metadata: dict) -> None:
             text = _fmt(value).replace("\r", "\\r").replace("\n", "\\n")
             stream.write(f"# {key} = {text}\n")
         stream.write(",".join(table) + "\n")
-        while block := "".join(itertools.islice(rows, _BLOCK_ROWS)):
+        for block in blocks:
             stream.write(block)
 
     if path is None:
@@ -151,7 +233,8 @@ _DEFAULT_CONFIG = {
 }
 
 
-def _parse_overrides(pairs: list[str]) -> dict:
+def _parse_overrides(pairs: list[str]) -> tuple[dict, list[str]]:
+    """The ``--set`` values by key, and a message for each unknown key or malformed pair."""
     out, problems = {}, []
     for pair in pairs:
         key, sep, value = pair.partition("=")
@@ -167,31 +250,39 @@ def _parse_overrides(pairs: list[str]) -> dict:
             out[key] = value.strip()
         else:
             problems.append(f"unknown config key '{key}'")
+    return out, problems
+
+
+def load_cycle_config(path: str | None, pairs: list[str]) -> tuple[CycleConfig, dict]:
+    """The config of the defaults, updated from the JSON file ``path`` and then from the
+    ``--set`` ``pairs``, and its metadata. The malformed pairs and unknown keys, then the
+    faults of the file and of ``build_config``, raise one ConfigError."""
+    raw = dict(_DEFAULT_CONFIG)
+    overrides, problems = _parse_overrides(pairs)
+    try:
+        if path is not None:
+            import json  # here, not at module level: only --config reads JSON
+
+            with open(path, encoding="utf-8") as stream:
+                try:
+                    data = json.load(stream)
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    raise ConfigError([f"config file {path} is not valid JSON: {exc}"]) from None
+            if not isinstance(data, dict):
+                raise ConfigError(["config file must hold a JSON object, "
+                                   f"got {type(data).__name__}"])
+            problems += [f"unknown config key '{k}'" for k in sorted(set(data) - set(raw))]
+            raw.update((key, value) for key, value in data.items() if key in _DEFAULT_CONFIG)
+        raw.update(overrides)
+        config = build_config(**{key: raw[key] for key in NUMERIC_FIELDS},
+                              kind_h=raw["profile_h"], kind_c=raw["profile_c"])
+    except ConfigError as exc:
+        problems += exc.problems
+    except (OSError, ValueError):  # a file that cannot be read: the problems before it stand
+        if not problems:
+            raise
     if problems:
         raise ConfigError(problems)
-    return out
-
-
-def load_cycle_config(path: str | None, overrides: dict) -> tuple[CycleConfig, dict]:
-    raw = dict(_DEFAULT_CONFIG)
-    if path is not None:
-        import json  # here, not at module level: only --config reads JSON
-
-        with open(path, encoding="utf-8") as stream:
-            try:
-                data = json.load(stream)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ConfigError([f"config file {path} is not valid JSON: {exc}"]) from None
-        if not isinstance(data, dict):
-            raise ConfigError(["config file must hold a JSON object, "
-                               f"got {type(data).__name__}"])
-        unknown = set(data) - set(_DEFAULT_CONFIG)
-        if unknown:
-            raise ConfigError([f"unknown config key '{k}'" for k in sorted(unknown)])
-        raw.update(data)
-    raw.update(overrides)
-    config = build_config(**{key: raw[key] for key in NUMERIC_FIELDS},
-                          kind_h=raw["profile_h"], kind_c=raw["profile_c"])
     return config, {f"config.{key}": raw[key] for key in sorted(raw)}
 
 
@@ -289,7 +380,7 @@ def _summary(report: CycleReport, audits: dict) -> str:
 
 def run_cycle(args) -> int:
     """One strongly coupled cycle: per-stroke CSV plus human-readable summary."""
-    config, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
+    config, config_meta = load_cycle_config(args.config, args.set)
     report = strong_cycle(config)
     oracle = strong_cycle_via_oracle(config) if args.oracle else None
     audits = report.law_audits()
@@ -350,7 +441,7 @@ def run_sweep(args) -> int:
     if faults:
         raise ConfigError(faults)
 
-    base, config_meta = load_cycle_config(args.config, _parse_overrides(args.set))
+    base, config_meta = load_cycle_config(args.config, args.set)
     sweep = strong_cycle_sweep(base, axis, np.linspace(lo, hi, count))
     report = sweep.report
     cells = {**report._asdict(), "work": report.work_total,

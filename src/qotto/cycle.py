@@ -43,7 +43,7 @@ from .dynamics import (ORACLE_T_START, QubitState, bath_thermal_matrix,
 # perfbench/tracing.py wraps this here, tests/test_perfbench_bindings.py pins it; ROADMAP item 3 removes it
 from .dynamics import joint_state_closed_form
 from .errors import ConfigError, IntegrationFailureError
-from .profiles import CouplingProfile, profile_from_spec
+from .profiles import CouplingProfile, profile_from_spec, spec_faults
 from .thermo import EnergyLedger
 from .tolerances import TOL
 
@@ -190,15 +190,19 @@ def build_config(omega_c: float, omega_h: float, beta_c: float, beta_h: float,
 
     Each spec is markovian, nonmarkovian or tabulated:PATH; ``kind_c``
     defaults to ``kind_h``, and each profile's g is tanh(beta * omega) of its
-    bath. Field faults, a hot bath at g = 0 and non-string specs raise one ConfigError first.
+    bath. Field faults, a hot bath at g = 0, non-string specs and specs that name no
+    profile raise one ConfigError before either profile is built.
     """
     kind_c = kind_h if kind_c is _HOT_SPEC else kind_c
     config = CycleConfig(omega_c=omega_c, omega_h=omega_h, beta_c=beta_c, beta_h=beta_h,
                          tau_h=tau_h, tau_c=tau_c, tau_u1=tau_u1, tau_u2=tau_u2)
-    # the cold profile's constructor checks its g > 0, after the faults of the hot spec
+    specs = {"profile_h": kind_h, "profile_c": kind_c}
+    named = dict.fromkeys(kind for kind in specs.values() if isinstance(kind, str))  # each once
+    # the cold profile's constructor checks its g > 0, and reading a table its file,
+    # after every fault here
     _require(config, *(f"{name} must be a string, got {kind!r}"
-                       for name, kind in (("profile_h", kind_h), ("profile_c", kind_c))
-                       if not isinstance(kind, str)), g_baths="h")
+                       for name, kind in specs.items() if not isinstance(kind, str)),
+             *(fault for kind in named for fault in spec_faults(kind)), g_baths="h")
     hot = profile_from_spec(kind_h, config.g_h)  # a spec both baths share is read once
     return replace(config, profile_h=hot, profile_c=replace(hot, g=config.g_c) if kind_c == kind_h
                    else profile_from_spec(kind_c, config.g_c))

@@ -264,18 +264,26 @@ def load_tabulated(path, g: float) -> TabulatedProfile:
     return TabulatedProfile(g=g, times=data[:, 0], values=data[:, 1], source=str(path))
 
 
+def spec_faults(spec: str) -> list[str]:
+    """What makes a config spec name no profile, one message a fault: none for markovian,
+    nonmarkovian and tabulated:PATH with a PATH."""
+    if spec.startswith("tabulated:") and not spec.split(":", 1)[1]:
+        return [f"profile '{spec}' names no table file (tabulated:PATH)"]
+    if spec in ("markovian", "nonmarkovian") or spec.startswith("tabulated:"):
+        return []
+    return [f"unknown profile '{spec}' (markovian|nonmarkovian|tabulated:PATH)"]
+
+
 def profile_from_spec(spec: str, g: float) -> CouplingProfile:
     """Profile named by a config spec: markovian, nonmarkovian or tabulated:PATH."""
+    faults = spec_faults(spec)
+    if faults:
+        raise ConfigError(faults)
     if spec == "markovian":
         return MarkovianProfile(g=g)
     if spec == "nonmarkovian":
         return NonMarkovianProfile(g=g)
-    if spec.startswith("tabulated:"):
-        path = spec.split(":", 1)[1]
-        if not path:
-            raise ConfigError([f"profile '{spec}' names no table file (tabulated:PATH)"])
-        return load_tabulated(path, g=g)
-    raise ConfigError([f"unknown profile '{spec}' (markovian|nonmarkovian|tabulated:PATH)"])
+    return load_tabulated(spec.split(":", 1)[1], g=g)
 
 
 def rate_gamma(profile: CouplingProfile, t: float) -> float:

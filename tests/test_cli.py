@@ -11,6 +11,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -351,6 +352,7 @@ class TestCycleCommand:
 
     def test_missing_config_file_is_runtime_error(self, tmp_path):
         assert run(["cycle", "--config", str(tmp_path / "absent.json")]) == 2
+        assert run(["cycle", "--set", f"profile_c=tabulated:{tmp_path / 'absent.txt'}"]) == 2
 
     def test_summary_reports_the_sign_based_regime_only(self, tmp_path, capsys):
         assert run(["cycle", "--out", str(tmp_path / "c.csv")]) == 0
@@ -479,16 +481,58 @@ def _reference_cell(value) -> str:
     return str(value)
 
 
+def _written(table: dict, matrix_floats: float) -> str:
+    """``table`` as ``_write_csv`` writes it, with the block route taken from
+    ``matrix_floats`` varying float cells."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "_MATRIX_FLOATS", matrix_floats), contextlib.redirect_stdout(out):
+        cli._write_csv(None, table, {"k": 1.5})
+    return out.getvalue()
+
+
+def _reference_csv(table: dict) -> str:
+    return f"# qotto {__version__}\n# k = 1.5\n{','.join(table)}\n" + "".join(
+        ",".join(map(_reference_cell, row)) + "\n" for row in zip(*table.values()))
+
+
+_ROUTE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 123456789012345.125, -2.5,
+                 *(value for edge in (1e-11, 1e15) for value in (
+                     math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)))]
+_ROUTE_TEXT = ["a,b", 'say "hi"', "x\r\ny", "\u00e9t\u00e9", "nul\0inside", "\0", "", "plain"]
+
+
+def _every_kind_table(rows: int) -> dict:
+    """A table with every kind of column the writer takes, ``rows`` rows long."""
+    def cycled(cells):
+        return [cells[k % len(cells)] for k in range(rows)]
+
+    return {"float": np.array(cycled(_ROUTE_FLOATS)), "float_list": cycled(_ROUTE_FLOATS[::-1]),
+            "int": np.arange(rows) * 7 - 3, "big_int": np.array(cycled([2**53, -2**62, 5])),
+            "int_list": cycled([1, -20, 300]), "index": range(rows), "text": cycled(_ROUTE_TEXT),
+            "flag": np.array(cycled([True, False])), "percent": ["100%"] * rows,
+            "constant": [2.5] * rows}
+
+
 class TestCsvCells:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_csv_tables())
     def test_cells_match_the_reference_formatting(self, table):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli._write_csv(None, table, {"k": 1.5})
-        expected = f"# qotto {__version__}\n# k = 1.5\n{','.join(table)}\n" + "".join(
-            ",".join(map(_reference_cell, row)) + "\n" for row in zip(*table.values()))
-        assert out.getvalue() == expected
+        for matrix_floats in (math.inf, 1):  # the row route, then the block route
+            assert _written(table, matrix_floats) == _reference_csv(table)
+
+    @pytest.mark.parametrize("rows", [5, 2 * cli._BLOCK_ROWS + 3])
+    def test_both_routes_write_the_same_bytes(self, rows):
+        # 5 rows take the row route, 1027 the block route and three blocks
+        table = _every_kind_table(rows)
+        written = _written(table, cli._MATRIX_FLOATS)
+        assert (2 * rows >= cli._MATRIX_FLOATS) == (rows > 5)
+        assert written == _written(table, math.inf) == _written(table, 1)
+        assert written == _reference_csv(table)
+        assert written.count("nul\0inside") == (rows + 3) // 8
+
+    def test_cycle_tables_take_the_row_route_and_scans_the_block_route(self):
+        # a cycle table has 9 rows of at most 7 float columns; a witness scan 2000 rows
+        assert 9 * 7 < cli._MATRIX_FLOATS <= 2000 * 7
 
     @pytest.mark.parametrize("column", [
         [0.0, -0.0], np.array([-0.0, -0.0, 0.0]), [math.nan, -math.nan], [1, True],
@@ -529,7 +573,7 @@ def _ledger_columns(report, names) -> dict:
 
 
 def _cycle_columns(oracle: bool) -> dict:
-    config, _ = load_cycle_config(None, {"tau_h": 1.0, "profile_c": "nonmarkovian"})
+    config, _ = load_cycle_config(None, ["tau_h=1.0", "profile_c=nonmarkovian"])
     columns = {"stroke": [*cycle.STROKE_ORDER, "total"], **_ledger_columns(
         strong_cycle(config), ("work", "heat", "energy_initial", "energy_final",
                                "entropy_production"))}
@@ -540,7 +584,7 @@ def _cycle_columns(oracle: bool) -> dict:
 
 
 def _sweep_columns() -> dict:
-    base, _ = load_cycle_config(None, {})
+    base, _ = load_cycle_config(None, [])
     sweep = cycle.strong_cycle_sweep(base, "tau_h", np.linspace(-1.0, 2.0, 7))
     report = sweep.report
 
@@ -934,6 +978,28 @@ _SET_FAULTS = [
     (["tau_h"], "--set expects key=value, got 'tau_h'"),
     (["tau_h", "volume=2", "omega_c=1"],
      "--set expects key=value, got 'tau_h'; unknown config key 'volume'"),
+    # each fault alone, then several in one error: the problems of the --set pairs, then
+    # the fields, then each profile spec that names no profile
+    (["profile_h=bogus"], "unknown profile 'bogus' (markovian|nonmarkovian|tabulated:PATH)"),
+    (["profile_c=bogus2"], "unknown profile 'bogus2' (markovian|nonmarkovian|tabulated:PATH)"),
+    (["profile_h=tabulated:"], "profile 'tabulated:' names no table file (tabulated:PATH)"),
+    (["omega_h=-1"], "omega_h must be > 0, got -1.0"),
+    (["tau_h=abc"], "tau_h must be a number, got 'abc'"),
+    (["foo=1"], "unknown config key 'foo'"),
+    (["profile_h=bogus", "profile_c=bogus2"],
+     "unknown profile 'bogus' (markovian|nonmarkovian|tabulated:PATH); "
+     "unknown profile 'bogus2' (markovian|nonmarkovian|tabulated:PATH)"),
+    (["profile_h=bogus", "profile_c=bogus"],
+     "unknown profile 'bogus' (markovian|nonmarkovian|tabulated:PATH)"),
+    (["omega_h=-1", "tau_h=abc", "profile_h=bogus"],
+     "tau_h must be a number, got 'abc'; omega_h must be > 0, got -1.0; "
+     "unknown profile 'bogus' (markovian|nonmarkovian|tabulated:PATH)"),
+    (["foo=1", "omega_h=-1"], "unknown config key 'foo'; omega_h must be > 0, got -1.0"),
+    (["profile_c=tabulated:", "foo=1", "beta_h=0"],
+     "unknown config key 'foo'; beta_h * omega_h must be > 0 so that the hot profile has "
+     "g > 0, got 0.0 * 2.0; profile 'tabulated:' names no table file (tabulated:PATH)"),
+    # a table that cannot be read is not named where another problem is
+    (["foo=1", "profile_h=tabulated:/no/such/table.txt"], "unknown config key 'foo'"),
 ]
 
 
@@ -952,10 +1018,12 @@ class TestConfigFaults:
         ('{"tau_h": 1' + "0" * 400 + "}",
          "tau_h must be a number, got an int too large for a float"),
         ('{"volume": 2, "beta": 1}', "unknown config key 'beta'; unknown config key 'volume'"),
+        ('{"volume": 2, "omega_h": -1}',
+         "unknown config key 'volume'; omega_h must be > 0, got -1"),
         ('{"omega_c": "abc", "tau_c": null, "profile_c": 1}',
          "omega_c must be a number, got 'abc'; tau_c must be a number, got None; "
          "profile_c must be a string, got 1"),
-    ], ids=["int-beyond-float", "unknown-keys", "mistyped"])
+    ], ids=["int-beyond-float", "unknown-keys", "unknown-key-and-field", "mistyped"])
     def test_config_file_faults(self, text, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -1085,7 +1153,7 @@ class TestRawConfigs:
         path.write_text(json.dumps(raw))
         expected = _offending(raw)
         try:
-            config, _ = load_cycle_config(str(path), {})
+            config, _ = load_cycle_config(str(path), [])
         except ConfigError as error:
             assert _named(error) == expected, str(error)
         else:

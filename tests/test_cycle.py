@@ -162,8 +162,9 @@ class TestConfigValidation:
         from qotto.cli import load_cycle_config
         spec = tabulated_spec(tmp_path)
         built = build_config(**ENGINE, tau_h=1.0, tau_c=1.0, kind_h=spec)
-        loaded, _ = load_cycle_config(None, {**ENGINE, "tau_h": 1.0, "tau_c": 1.0,
-                                             "profile_h": spec, "profile_c": spec})
+        loaded, _ = load_cycle_config(None, [*(f"{key}={value!r}" for key, value in ENGINE.items()),
+                                             "tau_h=1.0", "tau_c=1.0",
+                                             f"profile_h={spec}", f"profile_c={spec}"])
         for a, b in ((built.profile_h, loaded.profile_h), (built.profile_c, loaded.profile_c)):
             assert type(a) is type(b) is TabulatedProfile
             assert a.g == b.g

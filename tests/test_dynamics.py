@@ -324,7 +324,7 @@ class TestOracle:
         assert len(ops) == 9
         for op in ops:
             strong_cycle_via_oracle(load_cycle_config(op["argv"][op["argv"].index("--config") + 1],
-                                                      {})[0])
+                                                      [])[0])
         assert len(rhs_calls) == 10944
 
 
