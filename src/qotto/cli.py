@@ -9,17 +9,21 @@ Commands
 
 ``dynamics``, ``witness`` and ``sweep`` evaluate the closed forms once, on
 their whole grid of times or parameter values. Every command hands the CSV
-writer its table as named columns, one kind of cell per column. A column whose
-cells are all written alike (floats compared by their bits) is formatted once and
-stands in each row as literal text. The other columns take one of two routes,
-chosen by the table's size; both write the same bytes, in blocks of rows:
+writer its table as named 1-d ndarray columns of two kinds, told apart by dtype
+alone: a float column holds numbers, written '%.17g', and any other column text,
+written as ``str`` writes each cell and quoted where RFC 4180 needs it. A
+flag or an index is a float column of whole numbers, which '%.17g' writes as
+``str`` writes the int. A column whose cells are all written alike (compared by
+their bytes) is formatted once and stands in each row as literal text. The
+other columns take one of two routes, chosen by the table's size; both write
+the same bytes, in blocks of rows:
 
 * a table with fewer than ``_MATRIX_FLOATS`` varying float cells, such as a
   ``cycle`` table, is formatted row by row, one '%' format a row;
 * a larger one, such as a ``witness`` scan or a sweep, takes the block route:
-  each block is one byte matrix whose float cells, and integer cells within
-  2^53, come from one vectorized ``fmt17.render`` call, and whose other cells
-  are formatted and encoded one by one; the padding is then dropped at once.
+  each block is one byte matrix whose number cells come from one vectorized
+  ``fmt17.render`` call, and whose text cells are encoded one by one; the
+  padding is then dropped at once.
 
 ``fmt17`` is exact, not close. For 1e-11 <= |x| < 1e15 it forms the product of
 the float's 53-bit significand and a power of five, up to 116 bits, exactly in
@@ -105,75 +109,51 @@ _BLOCK_ROWS = 512  # rows joined into one write
 _MATRIX_FLOATS = 1000
 
 
-def _constant(column, fmt: str) -> bool:
-    """Whether every cell of a non-empty column is written as its first: floats are
-    compared by their bits, so 0.0 and -0.0 stay apart, and other cells by type and value."""
-    if isinstance(column, np.ndarray) and not column.dtype.hasobject:
-        raw = column.tobytes()
-    elif fmt == "%.17g":  # '%.17g' writes float(cell)
-        raw = np.array(column, dtype=float).tobytes()
-    else:
-        cells = column.tolist() if isinstance(column, np.ndarray) else column
-        return cells.count(cells[0]) == len(cells) and len(set(map(type, cells))) == 1
-    return raw == raw[:len(raw) // len(column)] * len(column)
+def _constant(column: np.ndarray) -> bool:
+    """Whether every cell of a non-empty column is written as its first: cells are compared
+    by their bytes, so 0.0 and -0.0 stay apart, and an object column's by identity."""
+    raw = column.tobytes()
+    return raw == raw[:column.itemsize] * len(column)
 
 
 def _row_blocks(literals: list, varying: list, count: int):
     """The rows in blocks of ``_BLOCK_ROWS``, each row from one '%' format."""
     import itertools
 
-    row_format = "".join(text.replace("%", "%%") + fmt
-                         for text, (fmt, _, _) in zip(literals, varying))
+    row_format = "".join(text.replace("%", "%%") + ("%.17g" if is_float else "%s")
+                         for text, (is_float, _) in zip(literals, varying))
     row_format += literals[-1].replace("%", "%%")
-    columns = []
-    for _, quote, column in varying:
-        cells = column.tolist() if isinstance(column, np.ndarray) else column
-        columns.append(list(map(quote, cells)) if quote else cells)
+    columns = [column.tolist() if is_float else [_quote(str(cell)) for cell in column.tolist()]
+               for is_float, column in varying]
     rows = (map(row_format.__mod__, zip(*columns)) if columns
             else itertools.repeat(row_format % (), count))
     while block := "".join(itertools.islice(rows, _BLOCK_ROWS)):
         yield block
 
 
-def _kernel_cells(fmt: str, column) -> np.ndarray | None:
-    """The column as float64 if ``fmt17`` writes its cells: float cells, and the integers
-    of an ndarray or a range within 2^53, which '%.17g' writes as '%s' does; else None."""
-    if fmt == "%.17g":
-        return np.asarray(column, np.float64)
-    if isinstance(column, range):
-        column = np.arange(column.start, column.stop, column.step)
-    if (isinstance(column, np.ndarray) and column.dtype.kind in "iu"
-            and -2**53 < column.min() and column.max() < 2**53):
-        return column.astype(np.float64)
-    return None
-
-
 def _matrix_blocks(literals: list, varying: list, count: int):
     """The rows in blocks of ``_BLOCK_ROWS``, each block one byte matrix: a row holds the
     literal text around the varying cells and a slot for each cell, padded with
-    ``fmt17.DROP``, and the block's bytes are written without the padding. The cells of
-    ``_kernel_cells`` come from ``fmt17.render``, in one call a block; the others are
-    formatted, quoted and encoded as UTF-8, which never holds ``DROP``, and padded past
-    their length, so a NUL inside a string stays."""
+    ``fmt17.DROP``, and the block's bytes are written without the padding. The number
+    cells come from ``fmt17.render``, in one call a block; the text cells are quoted and
+    encoded as UTF-8, which never holds ``DROP``, and padded past their length, so a NUL
+    inside a string stays."""
     from . import fmt17
 
-    kernel = [_kernel_cells(fmt, column) for fmt, _, column in varying]
     fixed = [np.frombuffer(text.encode(), np.uint8) for text in literals]
     fixed = [np.broadcast_to(text, (_BLOCK_ROWS, text.size)) for text in fixed]
     drop = bytes([fmt17.DROP])
     for start in range(0, count, _BLOCK_ROWS):
         rows = min(count - start, _BLOCK_ROWS)
-        block = np.stack([floats[start:start + rows] for floats in kernel if floats is not None])
+        block = np.stack([column[start:start + rows] for is_float, column in varying if is_float])
         slots = iter(fmt17.render(block).reshape(-1, rows, fmt17.WIDTH))
         parts = []
-        for literal, floats, (fmt, quote, column) in zip(fixed, kernel, varying):
+        for literal, (is_float, column) in zip(fixed, varying):
             parts.append(literal[:rows])
-            if floats is not None:
+            if is_float:
                 parts.append(next(slots))
                 continue
-            cells = column[start:start + rows]
-            cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
-            encoded = [(fmt % (quote(cell) if quote else cell,)).encode() for cell in cells]
+            encoded = [_quote(str(cell)).encode() for cell in column[start:start + rows].tolist()]
             text = np.array(encoded).view(np.uint8).reshape(rows, -1)
             lengths = np.fromiter(map(len, encoded), np.intp, rows)
             parts.append(np.where(np.arange(text.shape[1]) < lengths[:, None], text,
@@ -183,8 +163,9 @@ def _matrix_blocks(literals: list, varying: list, count: int):
 
 
 def _write_csv(path: str | None, table: dict, metadata: dict) -> None:
-    """Write the metadata as '#' lines, then ``table``: header name -> column (an
-    ndarray or a sequence), equal-length columns of one kind of cell each.
+    """Write the metadata as '#' lines, then ``table``: header name -> column, equal-length
+    1-d ndarrays. A float column holds numbers, written '%.17g'; any other column holds
+    text, written ``_quote(str(cell))``, which for an int or a bool is ``str`` alone.
 
     A column whose cells are all written alike (``_constant``) is formatted once and
     stands in each row as literal text, so only the varying columns are formatted on each
@@ -193,17 +174,15 @@ def _write_csv(path: str | None, table: dict, metadata: dict) -> None:
     the same bytes, in blocks of ``_BLOCK_ROWS`` rows."""
     count, literals, varying = 0, [""], []
     for position, column in enumerate(table.values(), 1):
-        count, is_array = len(column), isinstance(column, np.ndarray)
-        kind = (column.item(0) if is_array else column[0]) if count else None
-        fmt = "%.17g" if isinstance(kind, float) else "%s"
-        quote = _quote if isinstance(kind, str) else None
+        count, is_float = len(column), column.dtype.kind == "f"
         end = "," if position < len(table) else "\n"
-        if count and _constant(column, fmt):
-            literals[-1] += fmt % (quote(kind) if quote else kind,) + end
+        if count and _constant(column):
+            first = column.item(0)
+            literals[-1] += ("%.17g" % first if is_float else _quote(str(first))) + end
         else:
-            varying.append((fmt, quote, column))
+            varying.append((is_float, column))
             literals.append(end)
-    floats = count * sum(fmt == "%.17g" for fmt, _, _ in varying)
+    floats = count * sum(is_float for is_float, _ in varying)
     blocks = (_matrix_blocks if floats >= _MATRIX_FLOATS else _row_blocks)(
         literals, varying, count)
 
@@ -253,12 +232,15 @@ def _parse_overrides(pairs: list[str]) -> tuple[dict, list[str]]:
     return out, problems
 
 
-def load_cycle_config(path: str | None, pairs: list[str]) -> tuple[CycleConfig, dict]:
+def load_cycle_config(path: str | None, pairs: list[str],
+                      faults: list[str] | tuple = ()) -> tuple[CycleConfig, dict]:
     """The config of the defaults, updated from the JSON file ``path`` and then from the
-    ``--set`` ``pairs``, and its metadata. The malformed pairs and unknown keys, then the
-    faults of the file and of ``build_config``, raise one ConfigError."""
+    ``--set`` ``pairs``, and its metadata. The ``faults`` found before it, such as a
+    ``--sweep`` spec's, the malformed pairs and unknown keys, then the faults of the file
+    and of ``build_config``, raise one ConfigError."""
     raw = dict(_DEFAULT_CONFIG)
     overrides, problems = _parse_overrides(pairs)
+    problems[:0] = faults
     try:
         if path is not None:
             import json  # here, not at module level: only --config reads JSON
@@ -289,13 +271,16 @@ def load_cycle_config(path: str | None, pairs: list[str]) -> tuple[CycleConfig, 
 # --- commands ----------------------------------------------------------------
 
 def _check_scan(args) -> None:
-    """The --t-max and --points bounds of the dynamics and witness scans, every fault named."""
+    """The --t-max, --points and --g bounds of the dynamics and witness scans, every fault
+    named."""
     faults = []
     if args.t_max <= 0.0 or not math.isfinite(args.t_max):
         bound = "positive" if args.t_max <= 0.0 else "finite"
         faults.append(f"--t-max must be {bound}, got {args.t_max}")
     if args.points < 2:
         faults.append(f"--points must be >= 2, got {args.points}")
+    if not 0.0 < args.g <= 1.0:  # the profiles' own bound, so NaN fails it too
+        faults.append(f"bath parameter g must lie in (0, 1], got {args.g}")
     if faults:
         raise ConfigError(faults)
 
@@ -327,7 +312,7 @@ def run_witness_scan(args) -> int:
         # (PRL 105, 050403); cp_divisibility_witness is its 4x4 audit route. For g
         # in (0, 1], (1-g) gamma lies between 0 and (1+g) gamma, never below both
         wmin = np.minimum(0.0, (1.0 + profile.g) * gamma)
-        flag = np.where(np.isnan(gamma), -1, gamma >= TOL.rate_floor)  # -1: map singular
+        flag = np.where(np.isnan(gamma), -1.0, gamma >= TOL.rate_floor)  # -1: map singular
         table.update({f"f_{name}": f, f"F_{name}": phase, f"gamma_{name}": gamma,
                       f"markovian_flag_{name}": flag, f"witness_min_eig_{name}": wmin})
     meta = {"command": "witness", "g": args.g, "t_max": args.t_max,
@@ -347,11 +332,11 @@ def _ledgers(report: CycleReport) -> list[EnergyLedger]:
 
 def _stroke_table(report: CycleReport, oracle: CycleReport | None) -> dict:
     # an EnergyLedger's entries are in column order
-    table = {"stroke": (*STROKE_ORDER, "total"), **dict(zip(
+    table = {"stroke": np.array([*STROKE_ORDER, "total"]), **dict(zip(
         ("work", "heat", "energy_initial", "energy_final", "entropy_production"),
-        zip(*_ledgers(report))))}
+        np.array(_ledgers(report)).T))}
     if oracle is not None:
-        table["work_oracle"], table["heat_oracle"], *_ = zip(*_ledgers(oracle))
+        table["work_oracle"], table["heat_oracle"], *_ = np.array(_ledgers(oracle)).T
     return table
 
 
@@ -412,15 +397,15 @@ _SWEEP_METRICS = (
     "cyclicity_residual", "energy_residual")
 
 
-def run_sweep(args) -> int:
-    """Grid over one cycle parameter; deterministic row order by grid index."""
-    if args.sweep is None:
-        raise ConfigError(["sweep requires --sweep AXIS:LO:HI:N"])
-    parts = args.sweep.split(":")
+def _sweep_spec(spec: str | None) -> tuple[list[str], tuple]:
+    """Every fault of a ``--sweep`` AXIS:LO:HI:N spec, and its parts: a check that needs a
+    value that an earlier fault left undefined (None) is skipped, and so is the range of
+    infinite bounds."""
+    if spec is None:
+        return ["sweep requires --sweep AXIS:LO:HI:N"], ()
+    parts = spec.split(":")
     if len(parts) != 4:
-        raise ConfigError([f"--sweep expects AXIS:LO:HI:N, got '{args.sweep}'"])
-    # every fault of the spec, in one error; a check that needs a value that an earlier
-    # fault left undefined (None) is skipped, and so is the range of infinite bounds
+        return [f"--sweep expects AXIS:LO:HI:N, got '{spec}'"], ()
     axis, lo, hi, count = parts
     faults = [] if axis in SWEEP_AXES else [
         f"sweep axis must be one of {', '.join(SWEEP_AXES)}, got '{axis}'"]
@@ -428,27 +413,34 @@ def run_sweep(args) -> int:
         lo, hi = float(lo), float(hi)
     except ValueError:
         lo = hi = None
-        faults.append(f"--sweep bounds must be numeric, got '{args.sweep}'")
+        faults.append(f"--sweep bounds must be numeric, got '{spec}'")
     try:
         count = int(count)
     except ValueError:
         faults.append(f"--sweep count must be an integer, got '{count}'")
         count = None
     if lo is not None and not (math.isfinite(lo) and math.isfinite(hi)):
-        faults.append(f"--sweep bounds must be finite, got '{args.sweep}'")
+        faults.append(f"--sweep bounds must be finite, got '{spec}'")
     elif None not in (lo, count) and (count < 1 or (count > 1 and hi <= lo)):
-        faults.append(f"degenerate sweep range '{args.sweep}'")
-    if faults:
-        raise ConfigError(faults)
+        faults.append(f"degenerate sweep range '{spec}'")
+    return faults, (axis, lo, hi, count)
 
-    base, config_meta = load_cycle_config(args.config, args.set)
+
+def run_sweep(args) -> int:
+    """Grid over one cycle parameter; deterministic row order by grid index. The faults of
+    the spec, then of the config, raise one ConfigError."""
+    faults, spec = _sweep_spec(args.sweep)
+    base, config_meta = load_cycle_config(args.config, args.set, faults)
+    axis, lo, hi, count = spec
     sweep = strong_cycle_sweep(base, axis, np.linspace(lo, hi, count))
     report = sweep.report
     cells = {**report._asdict(), "work": report.work_total,
              **{f"w_{name}": work for name, work in report.boundary_works().items()}}
-    table = {"index": range(count), axis: sweep.values, "valid": sweep.valid.astype(int),
+    table = {"index": np.arange(count, dtype=float), axis: sweep.values,
+             "valid": sweep.valid.astype(float),
              "regime": np.where(sweep.valid, report.regime, "skipped"),
-             **{key: cells[key] for key in _SWEEP_METRICS}, "error": sweep.errors}
+             **{key: cells[key] for key in _SWEEP_METRICS},
+             "error": np.array(sweep.errors, dtype=object)}
     meta = {"command": "sweep", "axis": axis, "lo": lo, "hi": hi, "count": count,
             "seed": args.seed, **config_meta}
     _write_csv(_resolve_out(args.out), table, meta)

@@ -190,19 +190,17 @@ def build_config(omega_c: float, omega_h: float, beta_c: float, beta_h: float,
 
     Each spec is markovian, nonmarkovian or tabulated:PATH; ``kind_c``
     defaults to ``kind_h``, and each profile's g is tanh(beta * omega) of its
-    bath. Field faults, a hot bath at g = 0, non-string specs and specs that name no
-    profile raise one ConfigError before either profile is built.
+    bath. Field faults, a bath at g = 0, non-string specs and specs that name no profile
+    raise one ConfigError before either profile is built; reading a table names its file.
     """
     kind_c = kind_h if kind_c is _HOT_SPEC else kind_c
     config = CycleConfig(omega_c=omega_c, omega_h=omega_h, beta_c=beta_c, beta_h=beta_h,
                          tau_h=tau_h, tau_c=tau_c, tau_u1=tau_u1, tau_u2=tau_u2)
     specs = {"profile_h": kind_h, "profile_c": kind_c}
     named = dict.fromkeys(kind for kind in specs.values() if isinstance(kind, str))  # each once
-    # the cold profile's constructor checks its g > 0, and reading a table its file,
-    # after every fault here
     _require(config, *(f"{name} must be a string, got {kind!r}"
                        for name, kind in specs.items() if not isinstance(kind, str)),
-             *(fault for kind in named for fault in spec_faults(kind)), g_baths="h")
+             *(fault for kind in named for fault in spec_faults(kind)), g_baths="hc")
     hot = profile_from_spec(kind_h, config.g_h)  # a spec both baths share is read once
     return replace(config, profile_h=hot, profile_c=replace(hot, g=config.g_c) if kind_c == kind_h
                    else profile_from_spec(kind_c, config.g_c))

@@ -445,30 +445,32 @@ class TestOneArrayEvaluation:
 
 _CSV_FLOATS = st.one_of(st.floats(), st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, math.nan, math.inf, -math.inf]))
-# one strategy per kind of column the writer takes
-_CSV_KINDS = (_CSV_FLOATS, _CSV_FLOATS.map(np.float64), st.integers(-10**20, 10**20),
-              st.booleans(), st.one_of(st.text(max_size=8), st.sampled_from(
-                  ["a,b", 'say "hi"', "x\ny", "\r", "", "%", "%s", "100%%", '%,"\n'])))
+# one strategy per kind of column the writer takes, with the column's dtype: numbers as
+# float64; ints within int64 and bools as numpy holds them; text, mixed cells and ints
+# beyond int64 as objects, as an object column keeps each cell as it is
+_CSV_KINDS = ((_CSV_FLOATS, np.float64), (st.integers(-2**63, 2**63 - 1), np.int64),
+              (st.booleans(), np.bool_), (st.integers(-10**20, 10**20), object),
+              (st.one_of(st.integers(-2, 2), st.booleans()), object),
+              (st.one_of(st.text(max_size=8), st.sampled_from(
+                  ["a,b", 'say "hi"', "x\ny", "\r", "", "%", "%s", "100%%", '%,"\n'])), object))
 
 
 @st.composite
 def _csv_tables(draw) -> dict:
-    """1-8 equal-length columns of one kind each, some or all of them one drawn value
-    repeated, maybe but for the last cell; np.float64 cells, and repeated values, in a
-    list or an ndarray."""
+    """1-8 equal-length ndarray columns of one kind each, some or all of them one drawn
+    value repeated, maybe but for the last cell."""
     length = draw(st.integers(0, 6))
     all_constant = draw(st.booleans())
     table = {}
-    for k, kind in enumerate(draw(st.lists(st.sampled_from(_CSV_KINDS), min_size=1, max_size=8))):
+    for k, (kind, dtype) in enumerate(draw(st.lists(st.sampled_from(_CSV_KINDS),
+                                                    min_size=1, max_size=8))):
         if all_constant or draw(st.booleans()):
             cells = [draw(kind)] * length
             if cells and not all_constant and draw(st.booleans()):
                 cells[-1] = draw(kind)
-            as_array = draw(st.booleans())
         else:
             cells = draw(st.lists(kind, min_size=length, max_size=length))
-            as_array = bool(cells) and type(cells[0]) is np.float64 and draw(st.booleans())
-        table[f"h{k}"] = np.array(cells) if as_array else cells
+        table[f"h{k}"] = np.array(cells, dtype=dtype)
     return table
 
 
@@ -503,14 +505,14 @@ _ROUTE_TEXT = ["a,b", 'say "hi"', "x\r\ny", "\u00e9t\u00e9", "nul\0inside", "\0"
 
 def _every_kind_table(rows: int) -> dict:
     """A table with every kind of column the writer takes, ``rows`` rows long."""
-    def cycled(cells):
-        return [cells[k % len(cells)] for k in range(rows)]
+    def cycled(cells, dtype=None):
+        return np.array([cells[k % len(cells)] for k in range(rows)], dtype=dtype)
 
-    return {"float": np.array(cycled(_ROUTE_FLOATS)), "float_list": cycled(_ROUTE_FLOATS[::-1]),
-            "int": np.arange(rows) * 7 - 3, "big_int": np.array(cycled([2**53, -2**62, 5])),
-            "int_list": cycled([1, -20, 300]), "index": range(rows), "text": cycled(_ROUTE_TEXT),
-            "flag": np.array(cycled([True, False])), "percent": ["100%"] * rows,
-            "constant": [2.5] * rows}
+    return {"float": cycled(_ROUTE_FLOATS), "float_reversed": cycled(_ROUTE_FLOATS[::-1]),
+            "int": np.arange(rows) * 7 - 3, "big_int": cycled([2**53, -2**62, 5]),
+            "huge_int": cycled([2**64, -2**70, 1], object), "mixed": cycled([1, True], object),
+            "text": cycled(_ROUTE_TEXT, object), "flag": cycled([True, False]),
+            "percent": np.full(rows, "100%"), "constant": np.full(rows, 2.5)}
 
 
 class TestCsvCells:
@@ -539,10 +541,13 @@ class TestCsvCells:
         [True, 1], np.array(["a", "a", "a,"]), ["%", "%", "%%"], range(1)], ids=repr)
     def test_cells_equal_but_written_apart_stay_apart(self, column):
         # == holds between the cells of each column but the first, yet they are written
-        # apart; a one-row column is constant
+        # apart; a one-row column is constant. A list is handed over as float64 if its
+        # cells are floats, else as objects
+        if not isinstance(column, np.ndarray):
+            column = np.array(column, dtype=float if isinstance(column[0], float) else object)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli._write_csv(None, {"c": column, "k": [2.5] * len(column)}, {})
+            cli._write_csv(None, {"c": column, "k": np.full(len(column), 2.5)}, {})
         assert out.getvalue().splitlines()[2:] == [
             f"{_reference_cell(cell)},2.5" for cell in column]
 
@@ -1086,6 +1091,66 @@ class TestConfigFaults:
             "beta_c must exceed beta_h, got -1.0 <= 0.2",
             "beta_c must exceed beta_h, got 0.0 <= 0.2", ""]
         assert all(len(row) == len(header) for row in rows)
+
+
+# every stage's faults, as (argv, the message the fault alone names); a command's slots
+# are in the order the one error names their faults, and a draw takes one fault a slot
+_SCAN_SLOTS = [
+    [(["--t-max", "-1"], "--t-max must be positive, got -1.0"),
+     (["--t-max", "inf"], "--t-max must be finite, got inf")],
+    [(["--points", "1"], "--points must be >= 2, got 1")],
+    [(["--g", g], f"bath parameter g must lie in (0, 1], got {float(g)}")
+     for g in ("2", "0", "nan")]]
+_SPEC_SLOT = [(["--sweep", spec], message) for spec, message in [
+    ("foo:0:1:3", "sweep axis must be one of tau_h, tau_c, g_h, g_c, omega_h, omega_c, "
+                  "beta_h, beta_c, got 'foo'"),
+    ("tau_h:a:1:3", "--sweep bounds must be numeric, got 'tau_h:a:1:3'"),
+    ("tau_h:0:1:x", "--sweep count must be an integer, got 'x'"),
+    ("tau_h:0:inf:3", "--sweep bounds must be finite, got 'tau_h:0:inf:3'"),
+    ("tau_h:1:0:3", "degenerate sweep range 'tau_h:1:0:3'")]]
+_CONFIG_SLOTS = [
+    [(["--set", "tau_h"], "--set expects key=value, got 'tau_h'")],
+    [(["--set", "foo=1"], "unknown config key 'foo'")],
+    [(["--config", "{config}"], "unknown config key 'volume'")],
+    # a field fault hides the bath stage after it, as in a sweep row: one or the other
+    [(["--set", "tau_c=nan"], "tau_c must be finite, got nan"),
+     (["--set", "omega_h=abc"], "omega_h must be a number, got 'abc'"),
+     (["--set", "beta_c=1e-320", "--set", "beta_h=1e-321", "--set", "omega_c=1e-10"],
+      "bath parameter g must lie in (0, 1], got 0.0")],
+    [(["--set", "profile_h=bogus"],
+      "unknown profile 'bogus' (markovian|nonmarkovian|tabulated:PATH)")]]
+_FAULT_SLOTS = {"dynamics": _SCAN_SLOTS, "witness": _SCAN_SLOTS, "cycle": _CONFIG_SLOTS,
+                "sweep": [_SPEC_SLOT, *_CONFIG_SLOTS]}
+
+
+@st.composite
+def _fault_draws(draw) -> tuple:
+    """A command and 2-4 of its faults, each from another slot, in slot order."""
+    command = draw(st.sampled_from(sorted(_FAULT_SLOTS)))
+    slots = _FAULT_SLOTS[command]
+    chosen = draw(st.lists(st.sampled_from(range(len(slots))), min_size=2,
+                           max_size=min(4, len(slots)), unique=True))
+    return command, [draw(st.sampled_from(slots[k])) for k in sorted(chosen)]
+
+
+class TestEveryFault:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_fault_draws())
+    def test_one_error_names_every_fault(self, tmp_path_factory, drawn):
+        command, faults = drawn
+        work = tmp_path_factory.getbasetemp()
+        config = work / "volume.json"
+        config.write_text('{"volume": 2}')
+
+        def argv(faults):
+            valid_spec = command == "sweep" and "--sweep" not in (args[0] for args, _ in faults)
+            return [command, *(["--sweep", "tau_h:0.1:1:3"] if valid_spec else []),
+                    *(arg.format(config=config) for args, _ in faults for arg in args),
+                    "--out", str(work / "x.csv")]
+        assert _cli(argv(faults)) == (
+            1, f"config error: {'; '.join(message for _, message in faults)}\n", "")
+        for fault in faults:
+            assert _cli(argv([fault])) == (1, f"config error: {fault[1]}\n", "")
 
 
 # a numeric config value: valid, out of range, not finite, not a number, or a

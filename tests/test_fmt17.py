@@ -68,3 +68,13 @@ def test_no_significand_rounds_up_to_a_power_of_ten():
         while Fraction(below) >= 10 ** Fraction(e):
             below = math.nextafter(below, 0.0)
         assert ("%.17g" % below).lstrip("0.")[0] == "9", below
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(-2**53 + 1, 2**53 - 1), st.sampled_from(
+    [0, 1, -1, 2**53 - 1, -2**53 + 1, 10**15 - 1, 10**15, 10**16, -10**15])), min_size=1,
+    max_size=64))
+def test_whole_numbers_are_written_as_str_writes_the_int(ints):
+    # a flag or an index column is float64 of whole numbers below 2^53 in magnitude, which
+    # the CSV writer writes '%.17g', as the kernel or '%.17g' itself
+    assert rendered(ints) == ["%.17g" % float(n) for n in ints] == list(map(str, ints))
